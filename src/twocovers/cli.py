@@ -30,8 +30,9 @@ from .twists import (
     record_to_tsv,
     summary_to_tsv,
 )
+from .algebra import is_prime
+from .counting import MAX_FIELD_SIZE, BadPrimeError, CountingBudgetError
 from .verify import run_suite
-from .counting import BadPrimeError, CountingBudgetError
 from .zeta import (
     CountingBugError,
     check_remarks,
@@ -45,6 +46,13 @@ DEFAULT_REMARK_PRIMES = [7, 11, 13]
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _rational(text):
@@ -62,6 +70,24 @@ def _int_list(text):
         return [int(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
+
+
+def _prime_list(text):
+    primes = _int_list(text)
+    for p in primes:
+        if p <= 3 or not is_prime(p):
+            raise argparse.ArgumentTypeError(f"not a prime > 3: {p}")
+    return primes
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {n}")
+    return n
 
 
 def _resolve_parameter(args):
@@ -230,7 +256,7 @@ def cmd_growth(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twocovers",
         description="exact constructions of curves with two independent elliptic covers",
     )
@@ -244,11 +270,11 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0, help="field-presentation seed")
         p.add_argument(
             "--max-field-size",
-            type=int,
-            default=6_000_000,
+            type=_positive_int,
+            default=MAX_FIELD_SIZE,
             help="enumeration budget per finite field",
         )
-        p.add_argument("--primes", type=_int_list, help="comma-separated primes > 3")
+        p.add_argument("--primes", type=_prime_list, help="comma-separated primes > 3")
 
     p = sub.add_parser("construct", help="emit the curve family as exact JSON")
     common(p)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fp, Poly, poly_gcd
+from .algebra import Fp, Poly, poly_gcd, quadratic_character
 from .constructions import build_family, build_thm1
 from .counting import (
     MAX_FIELD_SIZE,
@@ -26,7 +26,6 @@ from .counting import (
     CountingBudgetError,
     affine_count_rhs,
     affine_count_space,
-    chi_in_extension,
 )
 from .curves import HyperellipticModel, QuarticModel
 from .twists import factorize
@@ -131,7 +130,7 @@ def count_hyperelliptic(f, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
     affine = affine_count_rhs(coeffs, p, k, max_field_size, seed)
     if len(coeffs) % 2 == 0:  # odd degree
         return affine + 1
-    return affine + 1 + chi_in_extension(coeffs[-1], p, k)
+    return affine + 1 + quadratic_character(coeffs[-1], p) ** k
 
 
 def count_space_curve(A, B, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
@@ -146,7 +145,7 @@ def count_space_curve(A, B, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
     Ai = _reduce_coeffs([Fraction(A)], p)[0]
     disc = [4 * Ai % p, 0, (-3) % p]
     affine = affine_count_space(cubic, disc, p, k, max_field_size, seed)
-    return affine + 1 + chi_in_extension(-3, p, k)
+    return affine + 1 + quadratic_character(-3, p) ** k
 
 
 # ---------------------------------------------------------------------------

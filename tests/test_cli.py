@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twocovers
 from twocovers.cli import main
 
 
@@ -115,6 +118,25 @@ class TestRemarks:
         assert code == 1
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["zeta", "--A", "-27", "--curve", "E", "--primes", "4"],
+            ["zeta", "--A", "-27", "--curve", "E", "--primes", "7", "--max-field-size", "-5"],
+            ["remarks", "--A", "-27", "--primes", "4"],
+        ],
+        ids=["zeta-composite-prime", "negative-budget", "remarks-composite-prime"],
+    )
+    def test_bad_counting_input_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+
 class TestTwistsAndGrowth:
     def test_twists_tsv(self, capsys):
         code, out, _ = run_cli(["twists", "--A", "-27", "--height", "3"], capsys)
@@ -155,6 +177,26 @@ class TestDeterminism:
         assert code == 0 and out == ""
         obj = json.loads(path.read_text())
         assert obj["A"] == "-27"
+
+
+class TestLazyNumpy:
+    def test_verify_never_loads_numpy(self):
+        # numpy is imported by the counting kernel only; start-up and the
+        # symbolic commands must not pay for it
+        script = (
+            "import io, sys, contextlib\n"
+            "import twocovers.cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = twocovers.cli.main(['verify', '--j', '6912/5', '--primes', '101'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules, 'verify'\n"
+        )
+        src = str(Path(twocovers.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEntryPoint:

@@ -1,16 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from twocovers.algebra import Poly
+from twocovers.algebra import ExtField, Poly, quadratic_character
 from twocovers.constructions import build_family, build_thm1
 from twocovers.counting import (
     BadPrimeError,
     CountingBudgetError,
     affine_count_rhs,
     affine_count_space,
-    chi_in_extension,
     field_modulus,
 )
 from twocovers.curves import CubicModel
@@ -89,9 +89,9 @@ class TestSpaceCurve:
     def test_infinity_when_minus3_nonsquare(self):
         # q = 2 mod 3: -3 is a non-square, no rational points at infinity
         for p in (5, 11, 17):
-            assert chi_in_extension(-3, p, 1) == -1
+            assert quadratic_character(-3, p) == -1
         for p in (7, 13, 19):
-            assert chi_in_extension(-3, p, 1) == 1
+            assert quadratic_character(-3, p) == 1
 
     def test_consistency_identity_A1B1(self):
         A, B = F(1), F(1)
@@ -111,7 +111,7 @@ class TestSpaceCurve:
         for q in good_primes(A, 19, B=B):
             cubic = _int_coeffs(c.cubic.rhs_poly(), q)
             disc = [4 % q, 0, (-1) % q]  # wrong: should be -3 x^2
-            n = affine_count_space(cubic, disc, q, 1) + 1 + chi_in_extension(-3, q, 1)
+            n = affine_count_space(cubic, disc, q, 1) + 1 + quadratic_character(-3, q)
             aE = q + 1 - count_weierstrass(c.cubic, q)
             aEp = q + 1 - count_weierstrass(c.aux_cubic, q)
             broken.append(n != q + 1 - (2 * aE + aEp))
@@ -293,59 +293,56 @@ class TestOverdetermination:
         fam = build_family(A27)
         with pytest.raises(CountingBudgetError):
             count_hyperelliptic(fam.H.f, 7, 9)
+        with pytest.raises(CountingBudgetError):  # beyond the kernel's int32 tables
+            affine_count_rhs([1, 0, 1], 7, 11, max_field_size=7**11)
 
 
-class TestCountingPaths:
-    def test_numpy_matches_pure(self):
-        # force both paths on the same mid-size field
+def _brute_characters(f, fld):
+    """chi(f(x)) for every x of fld, by FqElement arithmetic and Euler's
+    criterion: no tables, no primitive element."""
+    out = []
+    for x in fld.elements():
+        acc = fld.zero()
+        for c in reversed(f):
+            acc = acc * x + c
+        out.append(quadratic_character(acc))
+    return out
+
+
+class TestCountingOracle:
+    FIELDS = ((7, 1), (7, 2), (7, 3), (11, 2), (5, 4))
+    SEEDS = (0, 5, 9)
+
+    def _polys(self, p, seed):
+        rng = random.Random(seed)
         fam = build_family(A27)
-        coeffs = _int_coeffs(fam.H.f, 11)
-        from twocovers.counting import _np_count_rhs, _pure_count_rhs
+        return [
+            _int_coeffs(fam.H.f, p),  # degree 12
+            [0, 3, 1, 0, 2],  # f(0) = 0
+            [rng.randrange(p) for _ in range(5)] + [1],
+        ]
 
-        for k in (2, 3):
-            assert _np_count_rhs(coeffs, 11, k) == _pure_count_rhs(coeffs, 11, k)
+    def test_rhs_matches_brute_force(self):
+        for (p, k), seed in itertools.product(self.FIELDS, self.SEEDS):
+            # the oracle's field presentation differs from the kernel's
+            fld = ExtField(p, k, seed=seed + 1)
+            for f in self._polys(p, seed):
+                expected = sum(1 + c for c in _brute_characters(f, fld))
+                assert affine_count_rhs(f, p, k, seed=seed) == expected, (p, k, seed, f)
 
-    def test_space_paths_agree(self):
-        from twocovers.counting import _np_count_space, _pure_count_space
-
+    def test_space_matches_brute_force(self):
         cubic = [1, 6, 0, 1]
-        disc = [4, 0, 4]
-        for p, k in ((7, 2), (7, 3), (11, 2)):
-            assert _np_count_space(cubic, disc, p, k) == _pure_count_space(cubic, disc, p, k)
+        for (p, k), seed in itertools.product(self.FIELDS, self.SEEDS):
+            disc = [4, 0, (-3) % p]
+            fld = ExtField(p, k, seed=seed + 1)
+            chis = zip(_brute_characters(cubic, fld), _brute_characters(disc, fld))
+            expected = sum((1 + c1) * (1 + c2) for c1, c2 in chis)
+            assert affine_count_space(cubic, disc, p, k, seed=seed) == expected, (p, k, seed)
 
     def test_counts_independent_of_modulus(self):
-        # the point count is intrinsic: recount with a different (seeded)
-        # irreducible presentation of F_49
-        from twocovers.algebra import find_irreducible
-        from twocovers.counting import _PureField
-
-        fam = build_family(A27)
-        coeffs = _int_coeffs(fam.H2.f, 7)
-
-        def count_with(seed):
-            field_modulus.cache_clear()
-            import twocovers.counting as counting
-
-            fld = _PureField.__new__(_PureField)
-            fld.p, fld.k, fld.q = 7, 2, 49
-            g = find_irreducible(7, 2, seed=seed)
-            fld.modulus = tuple(c.value for c in g.coeffs)
-            from twocovers.counting import _reduction_rows
-
-            fld.rows = _reduction_rows(7, 2, fld.modulus)
-            sq = fld.squares()
-            count = 0
-            rev = list(reversed(coeffs))
-            for x in fld.elements():
-                acc = (rev[0],) + (0,) * 1
-                for c in rev[1:]:
-                    acc = fld.mul(acc, x)
-                    acc = ((acc[0] + c) % 7,) + acc[1:]
-                packed = fld.pack(tuple(v % 7 for v in acc))
-                if packed == 0:
-                    count += 1
-                elif packed in sq:
-                    count += 2
-            return count
-
-        assert count_with(0) == count_with(5) == count_with(9)
+        # the point count is intrinsic: recount under different (seeded)
+        # irreducible presentations of F_{7^k}
+        coeffs = _int_coeffs(build_family(A27).H2.f, 7)
+        for k in (2, 3, 4):
+            assert len({field_modulus(7, k, seed) for seed in self.SEEDS}) == 3
+            assert len({affine_count_rhs(coeffs, 7, k, seed=seed) for seed in self.SEEDS}) == 1
