@@ -49,10 +49,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line on stderr and exits 2."""
+    """Reports any usage error, in every subcommand, as one line on stderr
+    (with a pointer to --help instead of the usage text) and exits 2."""
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.prog}: error: {message} (see {self.prog} --help)\n")
 
 
 def _rational(text):

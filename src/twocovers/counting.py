@@ -9,10 +9,10 @@ coefficient c of F_p adds c p^(k-1) mod q.  The quadratic character of a
 nonzero value is the parity of its log; x = 0 is counted on its own.
 
 The tables take 8 bytes per field element: 3 MB at 13^5, 48 MB at the default
-budget of 6e6 elements.  Only the last field's tables are kept between counts,
-and Horner runs in chunks, so memory stays flat.  Everything is deterministic,
-including the field presentation (modulus seed 0), and the seed cannot change
-a count.  numpy is imported inside the kernel, so commands that never count
+budget of 6e6 elements.  Each count builds its field's tables and drops them
+when it returns, and Horner runs in chunks, so memory stays flat.  Everything
+is deterministic, including the field presentation (modulus seed 0), and the
+seed cannot change a count.  numpy is imported inside the kernel, so commands that never count
 points never load it.
 """
 
@@ -59,10 +59,8 @@ def _primitive_element(field):
     raise AssertionError(f"{field!r} has no primitive element")
 
 
-@lru_cache(maxsize=1)
 def _tables(p, k, seed):
-    """(exp, log) for F_{p^k}.  One field's tables are kept: consecutive
-    counts share a field far more often than they return to an older one."""
+    """(exp, log) for F_{p^k}."""
     import numpy as np
 
     q = p**k

@@ -136,6 +136,19 @@ class TestInputValidation:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["zeta", "--A", "-27", "--curve", "E", "--bogus"], ["verify", "--j", "x"]],
+        ids=["no-subcommand", "unknown-flag", "bad-j"],
+    )
+    def test_usage_error_is_one_line_with_help_hint(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].endswith("--help)")
+
 
 class TestTwistsAndGrowth:
     def test_twists_tsv(self, capsys):
