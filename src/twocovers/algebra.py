@@ -194,7 +194,7 @@ def is_prime(n):
 class Poly:
     """Dense univariate polynomial over a generic coefficient ring.
 
-    Coefficients may be Fraction, Fp, FqElement, RatFunc, or Poly (for nested
+    Coefficients may be Fraction, Fp, FqElement, or Poly (for nested
     parameter rings).  Trailing zero coefficients are stripped; the zero
     polynomial has an empty coefficient list and degree -1.
 
@@ -394,106 +394,6 @@ def squarefree(f):
     """True when f has no repeated roots over the coefficient field."""
     g = poly_gcd(f, f.derivative())
     return g.degree <= 0
-
-
-# ---------------------------------------------------------------------------
-# rational functions as field elements (used for Q(A)-coefficient work)
-
-
-class RatFunc:
-    """Element of the fraction field of Q[x]: reduced num/den, monic den."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, _reduced=False):
-        if not isinstance(num, Poly):
-            num = Poly([num])
-        if den is None:
-            den = Poly([Fraction(1)])
-        elif not isinstance(den, Poly):
-            den = Poly([den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lead = den.lead()
-            if not _is_one(lead):
-                num = num.map_coeffs(lambda c: c / lead)
-                den = den.map_coeffs(lambda c: c / lead)
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return RatFunc(other if isinstance(other, Poly) else Poly([Fraction(other)]))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, _reduced=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __pow__(self, n):
-        return RatFunc(self.num**n, self.den**n)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __bool__(self):
-        return bool(self.num)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
-
-
-def lift_ratfunc(f):
-    """Reinterpret a Poly over Q[A]-coefficients as a Poly over Q(A)."""
-    return f.map_coeffs(lambda c: RatFunc(c if isinstance(c, Poly) else Poly([Fraction(c)])))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,14 @@ def _prime_list(text):
     return primes
 
 
+def _grid_list(text):
+    grid = _int_list(text)
+    for X in grid:
+        if X <= 1:
+            raise argparse.ArgumentTypeError(f"grid values must exceed 1: {X}")
+    return grid
+
+
 def _positive_int(text):
     try:
         n = int(text)
@@ -298,13 +306,13 @@ def build_parser():
 
     p = sub.add_parser("twists", help="bounded-height twist census as TSV")
     common(p)
-    p.add_argument("--height", type=int, default=25)
+    p.add_argument("--height", type=_positive_int, default=25)
     p.set_defaults(fn=cmd_twists)
 
     p = sub.add_parser("growth", help="census growth table as TSV")
     common(p)
-    p.add_argument("--height", type=int, default=25)
-    p.add_argument("--grid", type=_int_list, help="comma-separated X values")
+    p.add_argument("--height", type=_positive_int, default=25)
+    p.add_argument("--grid", type=_grid_list, help="comma-separated X values > 1")
     p.set_defaults(fn=cmd_growth)
 
     return parser

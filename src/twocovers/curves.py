@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    AlgebraError,
-    Poly,
-    RatFunc,
-    lift_ratfunc,
-    poly_gcd,
-    squarefree,
-)
+from .algebra import Poly, squarefree
 
 
 class CurveError(ValueError):
@@ -167,10 +160,25 @@ class LiteralTwist:
 
 
 def _generic_squarefree(f):
-    """Squarefreeness over the fraction field of the coefficient ring."""
-    if f.coeffs and isinstance(f.coeffs[0], Poly):
-        f = lift_ratfunc(f)
-    return squarefree(f)
+    """Squarefreeness over the fraction field of the coefficient ring.
+
+    Coefficients in Q[A] are decided exactly by specialising A.  With
+    n = deg_x f and d the largest A-degree of a coefficient, f is squarefree
+    over Q(A) iff Res_x(f, f') != 0.  That resultant has A-degree at most
+    (2n - 1)d and the leading coefficient has at most d roots, so if f is
+    squarefree some a among the 2nd + 1 values 0, 1, ..., 2nd keeps
+    deg f(a, x) = n with f(a, x) squarefree over Q; conversely such an a
+    makes Res_x(f, f')(a) nonzero.
+    """
+    if not any(isinstance(c, Poly) for c in f.coeffs):
+        return squarefree(f)
+    n = f.degree
+    d = max(c.degree if isinstance(c, Poly) else 0 for c in f.coeffs)
+    for a in range(2 * n * d + 1):
+        fa = Poly([Fraction(c(a) if isinstance(c, Poly) else c) for c in f.coeffs])
+        if fa.degree == n and squarefree(fa):
+            return True
+    return False
 
 
 def hyperelliptic_genus(f):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .algebra import INFINITY, Poly, PrimeField, reduce_mod_ideal
 from .constructions import (
+    _times_param,
     covering_maps,
     genus2_poly,
     genus3_poly,
@@ -102,10 +103,6 @@ def thm1_fiber_check(A, B, p):
                 if xv**3 - Af * xv != zv**3 - Af * zv:
                     return n, False, saw_distinct
     return n, True, saw_distinct
-
-
-def _times_param(f, s):
-    return f.map_coeffs(lambda c: c * s)
 
 
 def verify_thm2(h_perturbation=None):

@@ -10,18 +10,15 @@ from twocovers.algebra import (
     Fp,
     Poly,
     PrimeField,
-    RatFunc,
     RationalFunction,
     WLinear,
     find_irreducible,
     is_prime,
-    lift_ratfunc,
     poly_divmod,
     poly_gcd,
     poly_order_at,
     quadratic_character,
     reduce_mod_ideal,
-    squarefree,
 )
 
 
@@ -281,31 +278,6 @@ class TestExtField:
         a, b = field(3), field(6)
         assert a + b == field(2)
         assert a * b == field(4)
-
-
-class TestRatFunc:
-    def test_field_axioms_spotcheck(self):
-        x = Poly.gen()
-        f = RatFunc(x + 1, x - 1)
-        g = RatFunc(x, Poly([F(1)]))
-        assert f * g / g == f
-        assert (f + g) - g == f
-        assert f - f == RatFunc(Poly([]))
-        assert not (f - f)
-
-    def test_reduction(self):
-        x = Poly.gen()
-        f = RatFunc((x + 1) * (x - 1), (x - 1) * (x - 1))
-        assert f.num == x + 1 and f.den == x - 1
-
-    def test_squarefree_over_function_field(self):
-        # (t - A)(t - 2A) is squarefree over Q(A); (t - A)^2 is not
-        a = Poly.gen()
-        t = Poly([Poly([]), Poly([F(1)])])
-        f = (t - Poly.const(a)) * (t - Poly.const(2 * a))
-        g = (t - Poly.const(a)) ** 2
-        assert squarefree(lift_ratfunc(f))
-        assert not squarefree(lift_ratfunc(g))
 
 
 class TestRationalFunctionEval:

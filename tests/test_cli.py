@@ -125,8 +125,20 @@ class TestInputValidation:
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "4"],
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "7", "--max-field-size", "-5"],
             ["remarks", "--A", "-27", "--primes", "4"],
+            ["verify", "--j", "6912/5", "--primes", "4"],
+            ["twists", "--A", "-27", "--height", "0"],
+            ["twists", "--A", "-27", "--height", "-3"],
+            ["growth", "--A", "-27", "--grid", "1"],
         ],
-        ids=["zeta-composite-prime", "negative-budget", "remarks-composite-prime"],
+        ids=[
+            "zeta-composite-prime",
+            "negative-budget",
+            "remarks-composite-prime",
+            "verify-composite-prime",
+            "zero-height",
+            "negative-height",
+            "grid-at-1",
+        ],
     )
     def test_bad_counting_input_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twocovers.algebra import Poly, RatFunc
+from twocovers.algebra import Poly
 from twocovers.constructions import (
     INFINITY_IMAGE,
     ConstructionParams,
@@ -25,7 +25,15 @@ from twocovers.constructions import (
     quotient_maps,
     transport_to_curve,
 )
-from twocovers.curves import CubicModel, CurveError, ECPoint, j_invariant, on_curve
+from twocovers.curves import (
+    CubicModel,
+    CurveError,
+    ECPoint,
+    c_invariants,
+    discriminant,
+    j_invariant,
+    on_curve,
+)
 
 # frozen from tools/identity_oracle.py: coefficient c_i of the degree-12
 # model equals pairs[i][0] * A + pairs[i][1]
@@ -57,11 +65,15 @@ class TestParams:
                 params_from_j(j)
 
     def test_j_roundtrip_symbolic(self):
-        # over Q(j): j_invariant(y^2 = x^3 - Ax + A) == j identically
-        j = RatFunc(Poly.gen())
-        A = params_from_j(j).A
-        model = CubicModel(0 * A, -A, A)
-        assert j_invariant(model) == j
+        # over Q[j]: A = N/M with N = 27j, M = 4(j - 1728); y^2 = x^3 - Ax + A
+        # scaled by u = M is y^2 = x^3 - N M^3 x + N M^5, whose j-invariant
+        # c4^3 / disc is j identically
+        j = Poly.gen()
+        N = 27 * j
+        M = 4 * (j - 1728)
+        model = CubicModel(0 * j, -N * M**3, N * M**5)
+        c4, _ = c_invariants(model)
+        assert c4**3 == j * discriminant(model)
 
     def test_j_roundtrip_random(self):
         import random

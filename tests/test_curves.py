@@ -284,6 +284,30 @@ class TestGenus:
         x = Poly.gen()
         assert HyperellipticModel(x**6 - 2).genus == 2
 
+    @staticmethod
+    def _over_QA():
+        """(x, A) in Q[A][x], with A lifted to a constant in x."""
+        return Poly([Poly([]), Poly([F(1)])]), Poly.const(Poly.gen())
+
+    def test_squarefree_over_function_field(self):
+        # (x - A)(x - 2A) is squarefree over Q(A); (x - A)^2 is not
+        x, A = self._over_QA()
+        assert hyperelliptic_genus((x - A) * (x - 2 * A) * (x + 1)) == 1
+        with pytest.raises(SingularModelError):
+            hyperelliptic_genus((x - A) ** 2 * (x**2 + 1))
+
+    def test_bad_specialisations_do_not_decide(self):
+        # x^3 at A = 0, 1, 2, 3, squarefree over Q(A)
+        x, A = self._over_QA()
+        assert hyperelliptic_genus(x**3 + A * (A - 1) * (A - 2) * (A - 3) * x) == 1
+
+    def test_leading_coefficient_vanishing_at_zero(self):
+        x, A = self._over_QA()
+        assert hyperelliptic_genus(A * x**5 + x + 1) == 2
+        # at A = 0 this drops to the squarefree x^2 + 1
+        with pytest.raises(SingularModelError):
+            hyperelliptic_genus((A * x + 1) ** 2 * (x**2 + 1))
+
 
 class TestOnCurve:
     def test_cubic_point(self):

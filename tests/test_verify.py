@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 from twocovers.algebra import PrimeField
@@ -116,6 +117,15 @@ class TestSuite:
         assert "thm1-ideal-identity" in names
         assert "thm2-model-identity" in names
         assert "independence" in names
+
+    def test_full_suite_A27_runtime(self):
+        # bounds the Q(A) squarefree decisions inside build_family, which a
+        # gcd over Q(A) would make take several seconds
+        start = time.perf_counter()
+        reports = run_suite(F(-27))
+        elapsed = time.perf_counter() - start
+        assert all(r.passed for r in reports)
+        assert elapsed < 3.0, f"run_suite took {elapsed:.1f} s"
 
     def test_serialization(self):
         r = VerificationReport(check="x", status="fail", witness="w")
