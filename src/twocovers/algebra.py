@@ -770,12 +770,6 @@ class WLinear:
 
     __rmul__ = __mul__
 
-    def square(self):
-        return self * self
-
-    def conjugate(self):
-        return WLinear(self.a, -self.b, self.den, self.h)
-
     def norm_num(self):
         """a^2 - b^2 h (the numerator of self * conjugate)."""
         return self.a * self.a - self.b * self.b * self.h
@@ -793,12 +787,6 @@ class WLinear:
 
     def is_zero(self):
         return not self.a and not self.b
-
-    def even_part_zero(self):
-        return not self.a
-
-    def odd_part_zero(self):
-        return not self.b
 
     def map_coeffs(self, fn):
         return WLinear(

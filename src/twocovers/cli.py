@@ -38,7 +38,8 @@ from .zeta import (
     check_remarks,
     lpoly_hyperelliptic,
     lpoly_space_curve,
-    lpoly_weierstrass,
+    # not called here, but perfbench/layers.py wraps cli.lpoly_weierstrass
+    lpoly_weierstrass,  # noqa: F401
 )
 
 DEFAULT_REMARK_PRIMES = [7, 11, 13]
@@ -178,30 +179,22 @@ def cmd_verify(args):
 
 def cmd_zeta(args):
     primes = args.primes or DEFAULT_REMARK_PRIMES
-    thm1 = args.theorem == 1 or args.curve == "C"
-    if thm1:
+    if args.theorem == 1 or args.curve == "C":
         if args.A is None or args.B is None:
             raise UsageError("--curve C (and --theorem 1) require --A and --B")
         if args.curve not in ("C", "E", "Eprime"):
             raise UsageError(f"--theorem 1 has no curve {args.curve!r}")
-        space = build_thm1(args.A, args.B)
+        c = build_thm1(args.A, args.B)
+        curves = {"E": c.cubic, "Eprime": c.aux_cubic}
     else:
-        A, _ = _resolve_parameter(args)
-        fam = build_family(A)
+        fam = build_family(_resolve_parameter(args)[0])
+        curves = {name: getattr(fam, name) for name in ("E", "D", "H", "H1", "H2", "Eprime")}
     lines = []
     for p in sorted(primes):
-        if thm1:
-            if args.curve == "C":
-                L = lpoly_space_curve(args.A, args.B, p, args.max_field_size, args.seed)
-            else:
-                model = space.cubic if args.curve == "E" else space.aux_cubic
-                L = lpoly_weierstrass(model, p, args.max_field_size, args.seed)
-        elif args.curve in ("E", "Eprime"):
-            model = fam.E if args.curve == "E" else fam.Eprime
-            L = lpoly_weierstrass(model, p, args.max_field_size, args.seed)
+        if args.curve == "C":
+            L = lpoly_space_curve(args.A, args.B, p, args.max_field_size, args.seed)
         else:
-            model = {"D": fam.D, "H": fam.H, "H1": fam.H1, "H2": fam.H2}[args.curve]
-            L = lpoly_hyperelliptic(model, p, args.max_field_size, args.seed)
+            L = lpoly_hyperelliptic(curves[args.curve], p, args.max_field_size, args.seed)
         lines.append(_dumps({"curve": args.curve, "lpoly": L.serialize()}))
     _emit(lines, args.out)
     return 0
@@ -271,37 +264,40 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    flags = {
+        "--B": dict(type=_rational, help="second parameter (theorem-1 commands)"),
+        "--seed": dict(type=int, default=0, help="field-presentation seed"),
+        "--max-field-size": dict(
+            type=_positive_int, default=MAX_FIELD_SIZE, help="enumeration budget per finite field"
+        ),
+        "--primes": dict(type=_prime_list, help="comma-separated primes > 3"),
+    }
+    def common(p, *names):
+        """--j, --A and --out, plus the named flags: only those the
+        subcommand reads, so that any other flag is a usage error."""
         p.add_argument("--j", type=_rational, help="j-invariant as n or n/m")
         p.add_argument("--A", type=_rational, help="family parameter as n or n/m")
-        p.add_argument("--B", type=_rational, help="second parameter (theorem-1 commands)")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="field-presentation seed")
-        p.add_argument(
-            "--max-field-size",
-            type=_positive_int,
-            default=MAX_FIELD_SIZE,
-            help="enumeration budget per finite field",
-        )
-        p.add_argument("--primes", type=_prime_list, help="comma-separated primes > 3")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("construct", help="emit the curve family as exact JSON")
-    common(p)
+    common(p, "--B")
     p.add_argument("--theorem", type=int, choices=(1, 2), default=2)
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="run the symbolic verification suite")
-    common(p)
+    common(p, "--primes")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("zeta", help="emit L-polynomials for one curve")
-    common(p)
+    common(p, "--B", "--primes", "--max-field-size", "--seed")
     p.add_argument("--curve", required=True, choices=("E", "D", "H", "H1", "H2", "Eprime", "C"))
     p.add_argument("--theorem", type=int, choices=(1, 2), default=2)
     p.set_defaults(fn=cmd_zeta)
 
     p = sub.add_parser("remarks", help="Jacobian decomposition checks at good primes")
-    common(p)
+    common(p, "--B", "--primes", "--max-field-size", "--seed")
     p.set_defaults(fn=cmd_remarks)
 
     p = sub.add_parser("twists", help="bounded-height twist census as TSV")

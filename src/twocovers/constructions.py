@@ -246,14 +246,14 @@ class CoveringMap:
         return (x, self.v_scale.evaluate(t0) * w0)
 
 
-def _family_identity_check(A, h):
-    """64[(t^3-1)^4 - (t^3-1)^3(t^4-1)] + A (t^4-1)^4 == (t-1)^4 h(t)."""
+def family_identity_residual(A, h):
+    """64[(t^3-1)^4 - (t^3-1)^3(t^4-1)] + A (t^4-1)^4 - (t-1)^4 h(t): the
+    zero polynomial exactly when h is the degree-12 model for A (a number
+    or the generator of Q[A])."""
     t = Poly([0, 1])
     c3 = t**3 - 1
     c4 = t**4 - 1
-    lhs = 64 * (c3**4 - c3**3 * c4) + _times_param(c4**4, A)
-    rhs = (t - 1) ** 4 * h
-    return lhs == rhs
+    return 64 * (c3**4 - c3**3 * c4) + _times_param(c4**4, A) - (t - 1) ** 4 * h
 
 
 def covering_maps(A):
@@ -265,7 +265,7 @@ def covering_maps(A):
     """
     fam = build_family(A)
     h = fam.H.f
-    if not _family_identity_check(A, h):
+    if family_identity_residual(A, h):
         raise CurveError(f"sheet-scaling identity fails for A = {A}")
 
     one = Fraction(1)

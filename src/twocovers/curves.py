@@ -124,6 +124,9 @@ class HyperellipticModel:
     def rhs(self, x):
         return self.f(x)
 
+    def rhs_poly(self):
+        return self.f
+
     def __eq__(self, other):
         return isinstance(other, HyperellipticModel) and self.f == other.f
 

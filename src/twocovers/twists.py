@@ -20,7 +20,6 @@ from .curves import CurveError, ECPoint, ec_neg, on_curve, _ec_add_unchecked
 
 TRIAL_DIVISION_BOUND = 10_000
 RHO_ITERATION_BUDGET = 1_000_000
-TORSION_BOUND = 12
 RELATION_BOUND = 12
 
 STATUS_INDEPENDENT = "independent-candidate"
@@ -250,11 +249,6 @@ def growth_table(records, grid):
 
 # ---------------------------------------------------------------------------
 # TSV emission (consumed by the CLI)
-
-
-def _pair(v):
-    f = Fraction(v)
-    return f"{f.numerator}\t{f.denominator}"
 
 
 CENSUS_HEADER = "t_num\tt_den\td\tx1_num\tx1_den\ty1_num\ty1_den\tx2_num\tx2_den\ty2_num\ty2_den\tstatus"

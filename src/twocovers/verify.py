@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INFINITY, Poly, PrimeField, reduce_mod_ideal
+from .algebra import INFINITY, Poly, PrimeField, WLinear, reduce_mod_ideal
 from .constructions import (
     _times_param,
     covering_maps,
+    family_identity_residual,
     genus2_poly,
     genus3_poly,
     genus5_poly,
@@ -117,12 +118,7 @@ def verify_thm2(h_perturbation=None):
         coeffs = list(h.coeffs)
         coeffs[idx] = coeffs[idx] + delta
         h = Poly(coeffs)
-    t = Poly([0, 1])
-    c3 = t**3 - 1
-    c4 = t**4 - 1
-    lhs = 64 * (c3**4 - c3**3 * c4) + _times_param(c4**4, A)
-    rhs = (t - 1) ** 4 * h
-    first = lhs - rhs
+    first = family_identity_residual(A, h)
 
     # (x^4 + x^3) - (z^4 + z^3) == (x - z) F(x, z) in Q[x][z]
     x = Poly([Fraction(0), Fraction(1)])
@@ -139,8 +135,6 @@ def verify_thm2(h_perturbation=None):
 def _wl_times_param(f, s):
     """Scalar multiplication of a sheet function by a base-ring element
     (coefficient-wise; safe when the scalar is itself a Poly)."""
-    from .algebra import WLinear
-
     return WLinear(_times_param(f.a, s), _times_param(f.b, s), f.den, f.h)
 
 
@@ -158,8 +152,6 @@ def verify_maps_on_curve(A=None, corrupt_scale=False):
     h = f1.h
     bad = None
     if corrupt_scale:
-        from .algebra import WLinear
-
         t = Poly([Fraction(0), Fraction(1)])
         bad = (t - 1) ** 2
 

@@ -15,19 +15,18 @@ evidence that its abelian surface is simple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fp, Poly, poly_gcd, quadratic_character
+from .algebra import Fp, Poly, is_prime, poly_gcd, quadratic_character
 from .constructions import build_family, build_thm1
 from .counting import (
     MAX_FIELD_SIZE,
     BadPrimeError,
-    CountingBudgetError,
     affine_count_rhs,
     affine_count_space,
 )
-from .curves import HyperellipticModel, QuarticModel
 from .twists import factorize
 
 
@@ -36,54 +35,51 @@ class CountingBugError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# good primes
+# the mod-p gate
 
 
-def _reduce_coeffs(coeffs, p):
-    out = []
-    for c in coeffs:
-        f = Fraction(c)
-        if f.denominator % p == 0:
-            raise BadPrimeError(f"p = {p} divides a coefficient denominator")
-        out.append(f.numerator * pow(f.denominator, p - 2, p) % p)
-    return out
+def _mod_p(c, p):
+    c = Fraction(c)
+    if c.denominator % p == 0:
+        raise BadPrimeError(f"p = {p} divides a coefficient denominator")
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
-def _squarefree_mod_p(int_coeffs, p):
-    f = Poly([Fp(c, p) for c in int_coeffs])
-    if f.degree < 1:
-        return False
-    return poly_gcd(f, f.derivative()).degree == 0
+def _rhs(model):
+    """f of y^2 = f(x), from a Poly or from any model with rhs_poly()."""
+    return model if isinstance(model, Poly) else model.rhs_poly()
+
+
+def _reduce_rhs(model, p):
+    """The coefficients of f mod p (ascending), when y^2 = f(x) has good
+    reduction at p: BadPrimeError when p divides a denominator or the
+    leading coefficient, or when f mod p is not squarefree."""
+    f = _rhs(model)
+    coeffs = [_mod_p(c, p) for c in f.coeffs]
+    fp = Poly([Fp(c, p) for c in coeffs])
+    if fp.degree != f.degree:
+        raise BadPrimeError(f"p = {p} is a bad prime: p divides the leading coefficient")
+    if fp.degree < 1 or poly_gcd(fp, fp.derivative()).degree != 0:
+        raise BadPrimeError(f"p = {p} is a bad prime: right side not squarefree mod p")
+    return coeffs
 
 
 def is_good_prime(A, p, B=None):
-    """p > 3 keeping every model of the family squarefree/nonsingular mod p
-    (and, when B is given, the space-curve models too)."""
-    from .algebra import is_prime
-
+    """p > 3 at which every model of the family (and, when B is given, both
+    cubics of the space curve) passes the mod-p gate _reduce_rhs."""
     if p <= 3 or not is_prime(p):
         return False
+    fam = build_family(Fraction(A))
+    models = [fam.E, fam.Eprime, fam.D, fam.H, fam.H1, fam.H2]
+    if B is not None:
+        c = build_thm1(Fraction(A), Fraction(B))
+        models += [c.cubic, c.aux_cubic]
     try:
-        fam = build_family(Fraction(A))
-        models = [
-            fam.E.rhs_poly().coeffs,
-            fam.Eprime.rhs_poly().coeffs,
-            fam.D.rhs_poly().coeffs,
-            fam.H.f.coeffs,
-            fam.H1.f.coeffs,
-            fam.H2.f.coeffs,
-        ]
-        if B is not None:
-            c = build_thm1(Fraction(A), Fraction(B))
-            models.append(c.cubic.rhs_poly().coeffs)
-            models.append(c.aux_cubic.rhs_poly().coeffs)
-        for coeffs in models:
-            ints = _reduce_coeffs(coeffs, p)
-            if not _squarefree_mod_p(ints, p):
-                return False
-        return True
+        for model in models:
+            _reduce_rhs(model, p)
     except BadPrimeError:
         return False
+    return True
 
 
 def good_primes(A, bound, B=None):
@@ -94,43 +90,19 @@ def good_primes(A, bound, B=None):
 # counts
 
 
-@dataclass(frozen=True)
-class CountVector:
-    q: int
-    counts: tuple  # N_1..N_g over F_{q^k}
-
-    def weil_ok(self, genus):
-        for k, n in enumerate(self.counts, start=1):
-            qk = self.q**k
-            if (n - qk - 1) ** 2 > 4 * genus * genus * qk:
-                return False
-        return True
-
-
-def count_weierstrass(model, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
-    """#C(F_{p^k}) for the smooth projective cubic model (one point at
-    infinity)."""
-    coeffs = _reduce_coeffs(model.rhs_poly().coeffs, p)
-    if not _squarefree_mod_p(coeffs, p):
-        raise BadPrimeError(f"p = {p} is a bad prime for {model!r}")
-    return affine_count_rhs(coeffs, p, k, max_field_size, seed) + 1
-
-
-def count_hyperelliptic(f, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
-    """#C(F_{p^k}) for the smooth model of y^2 = f(x): the affine count plus
-    1 point at infinity for odd deg f, plus 1 + chi(leading coeff) for even
-    deg f."""
-    if isinstance(f, HyperellipticModel):
-        f = f.f
-    if isinstance(f, QuarticModel):
-        f = f.rhs_poly()
-    coeffs = _reduce_coeffs(f.coeffs, p)
-    if not _squarefree_mod_p(coeffs, p):
-        raise BadPrimeError(f"p = {p} is a bad prime: right side not squarefree mod p")
+def count_hyperelliptic(model, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
+    """#C(F_{p^k}) for the smooth model of y^2 = f(x), f a Poly or any
+    model's rhs_poly(): the affine count plus 1 point at infinity for odd
+    deg f, plus 1 + chi(leading coeff) for even deg f."""
+    coeffs = _reduce_rhs(model, p)
     affine = affine_count_rhs(coeffs, p, k, max_field_size, seed)
     if len(coeffs) % 2 == 0:  # odd degree
         return affine + 1
     return affine + 1 + quadratic_character(coeffs[-1], p) ** k
+
+
+# A public name, and perfbench/layers.py wraps it: the cubic is one more y^2 = f(x).
+count_weierstrass = count_hyperelliptic
 
 
 def count_space_curve(A, B, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
@@ -139,11 +111,8 @@ def count_space_curve(A, B, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
     (x, y, z) -> (x, y) whose z-fiber has discriminant 4A - 3x^2; the two
     points over infinity are rational iff -3 is a square."""
     c = build_thm1(Fraction(A), Fraction(B))
-    cubic = _reduce_coeffs(c.cubic.rhs_poly().coeffs, p)
-    if not _squarefree_mod_p(cubic, p):
-        raise BadPrimeError(f"p = {p} is a bad prime for the space curve")
-    Ai = _reduce_coeffs([Fraction(A)], p)[0]
-    disc = [4 * Ai % p, 0, (-3) % p]
+    cubic = _reduce_rhs(c.cubic, p)
+    disc = [4 * _mod_p(A, p) % p, 0, (-3) % p]
     affine = affine_count_space(cubic, disc, p, k, max_field_size, seed)
     return affine + 1 + quadratic_character(-3, p) ** k
 
@@ -172,16 +141,14 @@ class LPolynomial:
         return all(self.coeffs[2 * g - i] == q ** (g - i) * self.coeffs[i] for i in range(g + 1))
 
     @classmethod
-    def from_counts(cls, counts):
-        """Newton's identities on S_k = q^k + 1 - N_k, functional equation
-        for the upper half."""
-        q = counts.q
-        g = len(counts.counts)
-        if not counts.weil_ok(g):
-            raise CountingBugError(
-                f"counts {counts.counts} over F_{q} violate the genus-{g} Weil bounds"
-            )
-        S = [None] + [q**k + 1 - n for k, n in enumerate(counts.counts, start=1)]
+    def from_counts(cls, q, counts):
+        """From N_1..N_g over F_{q^k}: Newton's identities on
+        S_k = q^k + 1 - N_k, functional equation for the upper half."""
+        counts = tuple(counts)
+        g = len(counts)
+        if any((n - q**k - 1) ** 2 > 4 * g * g * q**k for k, n in enumerate(counts, start=1)):
+            raise CountingBugError(f"counts {counts} over F_{q} violate the genus-{g} Weil bounds")
+        S = [None] + [q**k + 1 - n for k, n in enumerate(counts, start=1)]
         c = [1] + [0] * (2 * g)
         for k in range(1, g + 1):
             acc = S[k] + sum(c[i] * S[k - i] for i in range(1, k))
@@ -225,30 +192,23 @@ class LPolynomial:
 
 def lpoly_divides(small, big):
     """Exact division in Z[T]: (True, quotient coeffs) when small | big with
-    an integer quotient, else (False, None)."""
+    an integer quotient, else (False, None).  The divisor's constant term is
+    1, so the ascending division never leaves Z."""
     if small.q != big.q:
         raise CountingBugError("mixed field sizes")
-    a = [Fraction(c) for c in big.coeffs]
-    b = [Fraction(c) for c in small.coeffs]
-    if len(b) > len(a):
+    b = small.coeffs
+    rem = list(big.coeffs)
+    if len(b) > len(rem):
         return False, None
-    # ascending-order division (the divisor has unit constant term)
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
-    rem = list(a)
-    for i in range(len(quot)):
-        coef = rem[i] / b[0]
-        quot[i] = coef
+    quot = []
+    for i in range(len(rem) - len(b) + 1):
+        coef = rem[i]
+        quot.append(coef)
         for j, bj in enumerate(b):
             rem[i + j] -= coef * bj
     if any(rem):
         return False, None
-    if any(c.denominator != 1 for c in quot):
-        return False, None
-    return True, tuple(int(c) for c in quot)
-
-
-def lpoly_from_quotient(quot, q, g):
-    return LPolynomial(coeffs=tuple(quot), q=q, g=g)
+    return True, tuple(quot)
 
 
 def lpoly_irreducible_over_Z(L):
@@ -290,8 +250,6 @@ def lpoly_irreducible_over_Z(L):
             disc = c1 * c1 - 4 * (c2 - 2 * b)
             if disc < 0:
                 continue
-            import math
-
             s = math.isqrt(disc)
             if s * s != disc:
                 continue
@@ -304,27 +262,22 @@ def lpoly_irreducible_over_Z(L):
 # per-curve drivers
 
 
-def lpoly_weierstrass(model, p, max_field_size=MAX_FIELD_SIZE, seed=0):
-    n1 = count_weierstrass(model, p, 1, max_field_size, seed)
-    return LPolynomial.from_counts(CountVector(q=p, counts=(n1,)))
-
-
 def lpoly_hyperelliptic(model, p, max_field_size=MAX_FIELD_SIZE, seed=0):
-    if isinstance(model, QuarticModel):
-        genus = 1
-        f = model.rhs_poly()
-    else:
-        genus = model.genus
-        f = model.f
-    counts = tuple(
-        count_hyperelliptic(f, p, k, max_field_size, seed) for k in range(1, genus + 1)
-    )
-    return LPolynomial.from_counts(CountVector(q=p, counts=counts))
+    """L-polynomial of y^2 = f(x), f a Poly or any model's rhs_poly(), from
+    the counts over F_{p^k} for k = 1..g, g = (deg f - 1) // 2."""
+    f = _rhs(model)
+    genus = (f.degree - 1) // 2
+    counts = [count_hyperelliptic(f, p, k, max_field_size, seed) for k in range(1, genus + 1)]
+    return LPolynomial.from_counts(p, counts)
+
+
+# A public name, and perfbench/layers.py wraps it: the cubic is one more y^2 = f(x).
+lpoly_weierstrass = lpoly_hyperelliptic
 
 
 def lpoly_space_curve(A, B, p, max_field_size=MAX_FIELD_SIZE, seed=0):
-    counts = tuple(count_space_curve(A, B, p, k, max_field_size, seed) for k in range(1, 4))
-    return LPolynomial.from_counts(CountVector(q=p, counts=counts))
+    counts = [count_space_curve(A, B, p, k, max_field_size, seed) for k in range(1, 4)]
+    return LPolynomial.from_counts(p, counts)
 
 
 def overdetermination_check(model_counter, L, ks):
@@ -392,8 +345,8 @@ def check_remarks(A, primes, B=None, max_field_size=MAX_FIELD_SIZE, seed=0):
         if not is_good_prime(A, p, B=B):
             skipped.append((p, "bad prime for the family"))
             continue
-        LE = lpoly_weierstrass(fam.E, p, max_field_size, seed)
-        LEp = lpoly_weierstrass(fam.Eprime, p, max_field_size, seed)
+        LE = lpoly_hyperelliptic(fam.E, p, max_field_size, seed)
+        LEp = lpoly_hyperelliptic(fam.Eprime, p, max_field_size, seed)
         LH = lpoly_hyperelliptic(fam.H, p, max_field_size, seed)
         LH1 = lpoly_hyperelliptic(fam.H1, p, max_field_size, seed)
         LH2 = lpoly_hyperelliptic(fam.H2, p, max_field_size, seed)
@@ -408,7 +361,7 @@ def check_remarks(A, primes, B=None, max_field_size=MAX_FIELD_SIZE, seed=0):
         ok, quot = lpoly_divides(LE * LE * LEp, LH)
         if not ok:
             raise CountingBugError(f"p = {p}: L_E^2 L_E' does not divide L_H")
-        LF = lpoly_from_quotient(quot, p, 2)
+        LF = LPolynomial(coeffs=quot, q=p, g=2)
         # genus-3 quotient splits as E x F
         if (LE * LF).coeffs != LH1.coeffs:
             raise CountingBugError(f"p = {p}: L of the genus-3 quotient differs from L_E * L_F")
@@ -420,8 +373,8 @@ def check_remarks(A, primes, B=None, max_field_size=MAX_FIELD_SIZE, seed=0):
         if B is not None:
             c = build_thm1(A, Fraction(B))
             n = count_space_curve(A, B, p, 1, max_field_size, seed)
-            aE = p + 1 - count_weierstrass(c.cubic, p, 1, max_field_size, seed)
-            aEp = p + 1 - count_weierstrass(c.aux_cubic, p, 1, max_field_size, seed)
+            aE = p + 1 - count_hyperelliptic(c.cubic, p, 1, max_field_size, seed)
+            aEp = p + 1 - count_hyperelliptic(c.aux_cubic, p, 1, max_field_size, seed)
             predicted = p + 1 - (2 * aE + aEp)
             r1n, r1p = n, predicted
         else:

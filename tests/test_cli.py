@@ -118,6 +118,20 @@ class TestRemarks:
         assert code == 1
 
 
+# flags of other subcommands that these do not read ("7" is a valid value of
+# each, so the flag itself is the only usage error)
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in {
+        "construct": ("--seed", "--max-field-size", "--primes"),
+        "verify": ("--B", "--seed", "--max-field-size"),
+        "twists": ("--B", "--seed", "--max-field-size", "--primes"),
+        "growth": ("--B", "--seed", "--max-field-size", "--primes"),
+    }.items()
+    for flag in flags
+]
+
+
 class TestInputValidation:
     @pytest.mark.parametrize(
         "args",
@@ -150,8 +164,10 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "args",
-        [[], ["zeta", "--A", "-27", "--curve", "E", "--bogus"], ["verify", "--j", "x"]],
-        ids=["no-subcommand", "unknown-flag", "bad-j"],
+        [[], ["zeta", "--A", "-27", "--curve", "E", "--bogus"], ["verify", "--j", "x"]]
+        + [[command, "--A", "-27", flag, "7"] for command, flag in UNREAD_FLAGS],
+        ids=["no-subcommand", "unknown-flag", "bad-j"]
+        + [f"{command}{flag}" for command, flag in UNREAD_FLAGS],
     )
     def test_usage_error_is_one_line_with_help_hint(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

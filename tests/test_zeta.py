@@ -13,10 +13,9 @@ from twocovers.counting import (
     affine_count_space,
     field_modulus,
 )
-from twocovers.curves import CubicModel
+from twocovers.curves import CubicModel, HyperellipticModel
 from twocovers.zeta import (
     CountingBugError,
-    CountVector,
     LPolynomial,
     check_remarks,
     count_hyperelliptic,
@@ -25,7 +24,6 @@ from twocovers.zeta import (
     good_primes,
     is_good_prime,
     lpoly_divides,
-    lpoly_from_quotient,
     lpoly_hyperelliptic,
     lpoly_irreducible_over_Z,
     lpoly_space_curve,
@@ -68,6 +66,15 @@ class TestCounts:
         # y^2 = x^3 - x mod 2 is excluded; mod 5 x^3 - x is fine, x^2(x-1) is not
         with pytest.raises(BadPrimeError):
             count_hyperelliptic(Poly([F(0), F(0), F(-1), F(1)]), 5)
+
+    def test_degree_drop_is_bad_prime(self):
+        # 7x^5 + x + 1 reduces to the genus-0 y^2 = x + 1 mod 7: no count
+        # and no L-polynomial may come out of it
+        f = Poly([F(1), F(1), F(0), F(0), F(0), F(7)])
+        with pytest.raises(BadPrimeError):
+            count_hyperelliptic(f, 7)
+        with pytest.raises(BadPrimeError):
+            lpoly_hyperelliptic(HyperellipticModel(f), 7)
 
     def test_quartic_counts_match_cubic(self):
         # the quartic and its Jacobian cubic are isomorphic over Q
@@ -125,22 +132,22 @@ class TestSpaceCurve:
 
 class TestLPolynomial:
     def test_genus1_example(self):
-        L = LPolynomial.from_counts(CountVector(q=7, counts=(12,)))
+        L = LPolynomial.from_counts(7, (12,))
         assert L.coeffs == (1, 4, 7)
 
     def test_functional_equation_g1(self):
         for n in range(3, 14):
-            L = LPolynomial.from_counts(CountVector(q=7, counts=(n,)))
+            L = LPolynomial.from_counts(7, (n,))
             assert L.coeffs[2] == 7
 
     def test_newton_g2(self):
         # c1 = -S1, c2 = (S1^2 - S2)/2, c3 = q c1, c4 = q^2
         q = 7
         fam = build_family(A27)
-        counts = CountVector(q=q, counts=tuple(count_hyperelliptic(fam.H2.f, q, k) for k in (1, 2)))
-        L = LPolynomial.from_counts(counts)
-        S1 = q + 1 - counts.counts[0]
-        S2 = q * q + 1 - counts.counts[1]
+        counts = tuple(count_hyperelliptic(fam.H2.f, q, k) for k in (1, 2))
+        L = LPolynomial.from_counts(q, counts)
+        S1 = q + 1 - counts[0]
+        S2 = q * q + 1 - counts[1]
         assert L.coeffs[1] == -S1
         assert L.coeffs[2] == (S1 * S1 - S2) // 2
         assert L.coeffs[3] == q * L.coeffs[1]
@@ -148,7 +155,7 @@ class TestLPolynomial:
 
     def test_weil_violation_rejected(self):
         with pytest.raises(CountingBugError):
-            LPolynomial.from_counts(CountVector(q=7, counts=(40,)))
+            LPolynomial.from_counts(7, (40,))
 
     def test_counts_roundtrip(self):
         fam = build_family(A27)
@@ -158,7 +165,7 @@ class TestLPolynomial:
                 assert L.predicted_count(k) == count_hyperelliptic(fam.H2.f, p, k)
 
     def test_serialize(self):
-        L = LPolynomial.from_counts(CountVector(q=7, counts=(12,)))
+        L = LPolynomial.from_counts(7, (12,))
         assert L.serialize() == {"q": 7, "g": 1, "coeffs": [1, 4, 7]}
 
 
