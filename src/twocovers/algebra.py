@@ -1,7 +1,7 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are python Fractions (arbitrary precision), prime-field elements, or
-extension-field elements.  Polynomials are dense, generic over any of these
+Scalars are python Fractions (arbitrary precision), elements of a quadratic
+field Q(sqrt d), prime-field elements, or extension-field elements.  Polynomials are dense, generic over any of these
 coefficient rings, including nested Poly coefficients for parameter rings
 like Q[A][t] and Q[A,B][x][z].
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 Rational = Fraction
 
@@ -161,6 +161,71 @@ class PrimeField:
 
     def __repr__(self):
         return f"F_{self.p}"
+
+
+class QuadraticNumber:
+    """a + b sqrt(d) in Q(sqrt d), d a rational non-square; ints and
+    Fractions take part as b = 0."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def sqrt(cls, d):
+        """sqrt(d): a Fraction when d is a rational square, else sqrt(d) in Q(sqrt d)."""
+        d = Fraction(d)
+        n, m = isqrt(max(d.numerator, 0)), isqrt(d.denominator)
+        if n * n == d.numerator and m * m == d.denominator:
+            return Fraction(n, m)
+        return cls(Fraction(0), Fraction(1), d)
+
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadraticNumber(other, 0, self.d)
+        if isinstance(other, QuadraticNumber) and other.d == self.d:
+            return other
+        raise AlgebraError(f"{other!r} is not in Q(sqrt {self.d})")
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
+
+    def __neg__(self):
+        return QuadraticNumber(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        a = self.a * o.a + self.b * o.b * self.d
+        return QuadraticNumber(a, self.a * o.b + self.b * o.a, self.d)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        norm = o.a * o.a - o.b * o.b * self.d
+        if not norm:
+            raise ZeroDivisionError(f"division by zero in Q(sqrt {self.d})")
+        return self * QuadraticNumber(o.a / norm, -o.b / norm, self.d)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __eq__(self, other):
+        return isinstance(other, (int, Fraction, QuadraticNumber)) and not self - other
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __repr__(self):
+        return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
 def is_prime(n):
@@ -676,33 +741,6 @@ def _div_linear(f, t0):
     return Poly(q), rem
 
 
-class RationalFunction:
-    """num/den pair of polynomials, evaluated projectively (poles allowed)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-
-    def evaluate(self, t0):
-        dv = self.den(t0)
-        if dv:
-            return self.num(t0) / dv
-        if not self.num:
-            raise AlgebraError("zero/zero rational function")
-        a, num = poly_order_at(self.num, t0)
-        b, den = poly_order_at(self.den, t0)
-        if a < b:
-            return INFINITY
-        if a > b:
-            return num(t0) * 0 / den(t0)
-        return num(t0) / den(t0)
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
 class WLinear:
     """(a(t) + b(t) w) / den(t) on the curve w^2 = h(t).
 
@@ -770,21 +808,6 @@ class WLinear:
 
     __rmul__ = __mul__
 
-    def norm_num(self):
-        """a^2 - b^2 h (the numerator of self * conjugate)."""
-        return self.a * self.a - self.b * self.b * self.h
-
-    def inverse(self):
-        n = self.norm_num()
-        if not n:
-            raise ZeroDivisionError("inverting a norm-zero function")
-        return WLinear(self.den * self.a, -(self.den * self.b), n, self.h)
-
-    def __truediv__(self, other):
-        if not isinstance(other, WLinear):
-            other = WLinear.lift_poly(other if isinstance(other, Poly) else Poly([other]), self.h)
-        return self * other.inverse()
-
     def is_zero(self):
         return not self.a and not self.b
 
@@ -795,19 +818,6 @@ class WLinear:
             self.den.map_coeffs(fn),
             self.h.map_coeffs(fn),
         )
-
-    def reduced(self):
-        """Cancel the common polynomial factor of a, b, den (field
-        coefficients required); keeps symbolic curve arithmetic from blowing
-        up in degree."""
-        g = poly_gcd(self.a, self.b) if self.a or self.b else self.den
-        g = poly_gcd(g, self.den)
-        if g.degree > 0:
-            a = poly_divmod(self.a, g)[0] if self.a else self.a
-            b = poly_divmod(self.b, g)[0] if self.b else self.b
-            den = poly_divmod(self.den, g)[0]
-            return WLinear(a, b, den, self.h)
-        return self
 
     def evaluate(self, t0, w0):
         """Value at a curve point (t0, w0) with w0^2 = h(t0); INFINITY on a

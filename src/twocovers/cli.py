@@ -112,6 +112,15 @@ def _resolve_parameter(args):
     raise UsageError("one of --j and --A is required")
 
 
+def _check_theorem_flags(args, theorem1):
+    """--j is read only by theorem 2 and --B only by theorem 1; the flag the
+    chosen theorem does not read is a usage error, not silently dropped."""
+    if theorem1 and args.j is not None:
+        raise UsageError("theorem 1 takes --A and --B, not --j")
+    if not theorem1 and args.B is not None:
+        raise UsageError("--B is read only by theorem 1 (--theorem 1, or zeta --curve C)")
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -135,6 +144,7 @@ def _frac_str(v):
 
 
 def cmd_construct(args):
+    _check_theorem_flags(args, args.theorem == 1)
     if args.theorem == 1:
         if args.A is None or args.B is None:
             raise UsageError("--theorem 1 requires --A and --B")
@@ -179,6 +189,7 @@ def cmd_verify(args):
 
 def cmd_zeta(args):
     primes = args.primes or DEFAULT_REMARK_PRIMES
+    _check_theorem_flags(args, args.theorem == 1 or args.curve == "C")
     if args.theorem == 1 or args.curve == "C":
         if args.A is None or args.B is None:
             raise UsageError("--curve C (and --theorem 1) require --A and --B")

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .algebra import INFINITY, Poly, RationalFunction, WLinear
+from .algebra import INFINITY, Poly, QuadraticNumber, WLinear
 from .curves import (
     CubicModel,
     CurveError,
@@ -32,6 +31,7 @@ from .curves import (
     HyperellipticModel,
     QuarticModel,
     SingularModelError,
+    _ec_add_unchecked,
     hyperelliptic_genus,
     j_invariant,
     literal_twist,
@@ -214,14 +214,15 @@ def plane_relation_poly():
 class CoveringMap:
     """H -> E through D, with all coordinate data explicit.
 
-    x_of_t, v_scale: the map into the quartic model (t -> x(t), w -> w*scale);
+    u, v: the map into the quartic model, (t, w) -> (u, v) with u = x(t) =
+    num/q and v = w/(8 q^2), q = t^3+t^2+t+1;
     X, Y: the full composite coordinates on w^2 = h(t), each (a + b w)/den.
     """
 
     name: str
     A: object
-    x_of_t: RationalFunction
-    v_scale: RationalFunction
+    u: WLinear
+    v: WLinear
     X: WLinear
     Y: WLinear
     h: Poly
@@ -240,10 +241,10 @@ class CoveringMap:
         return ECPoint(x, y)
 
     def quartic_point(self, t0, w0):
-        x = self.x_of_t.evaluate(t0)
+        x = self.u.evaluate(t0, w0)
         if x is INFINITY:
             return None
-        return (x, self.v_scale.evaluate(t0) * w0)
+        return (x, self.v.evaluate(t0, w0))
 
 
 def family_identity_residual(A, h):
@@ -279,41 +280,17 @@ def covering_maps(A):
     if jac.cubic != fam.E:
         raise CurveError("rescaled quartic Jacobian does not match the target cubic")
 
-    def composite(num):
-        # u = num/q as a sheet-free function, v = w/(8 q^2)
+    v = WLinear(Poly([]), Poly([one]), scale_den, h)
+    xa, xb = jac.x_map
+    ya, yb = jac.y_map
+
+    def composite(name, num):
         u = WLinear(num, Poly([]), q, h)
-        v = WLinear(Poly([]), Poly([one]), scale_den, h)
-        xa, xb = jac.x_map
-        ya, yb = jac.y_map
         X = xa(u) + xb(u) * v
         Y = ya(u) + yb(u) * v
-        return X, Y
+        return CoveringMap(name=name, A=A, u=u, v=v, X=X, Y=Y, h=h, target=fam.E, quartic=fam.D)
 
-    X1, Y1 = composite(x_num)
-    X2, Y2 = composite(z_num)
-    f1 = CoveringMap(
-        name="f1",
-        A=A,
-        x_of_t=RationalFunction(x_num, q),
-        v_scale=RationalFunction(Poly([one]), scale_den),
-        X=X1,
-        Y=Y1,
-        h=h,
-        target=fam.E,
-        quartic=fam.D,
-    )
-    f2 = CoveringMap(
-        name="f2",
-        A=A,
-        x_of_t=RationalFunction(z_num, q),
-        v_scale=RationalFunction(Poly([one]), scale_den),
-        X=X2,
-        Y=Y2,
-        h=h,
-        target=fam.E,
-        quartic=fam.D,
-    )
-    return f1, f2
+    return composite("f1", x_num), composite("f2", z_num)
 
 
 # ---------------------------------------------------------------------------
@@ -381,97 +358,49 @@ def quotient_maps(A):
 
 @dataclass(frozen=True)
 class OddCoveringMaps:
-    """Sheet-odd covers g_i = 2 f_i - (1,1): x-coordinates are functions of t
-    alone, y-coordinates are w times a function of t.
+    """The sheet-odd covers g_i = 2 f_i - (1, 1) of the two covers f1, f2.
 
-    These descend to every quadratic twist: on y^2 = d h(t) the map
-    (t, y) -> (d xi(t), d ups(t) y) lands on y^2 = x^3 - A d^2 x + A d^3.
+    The identity f_i(P) + f_i(iota P) = (1, 1) for the sheet involution iota
+    makes g_i odd in w: its x-coordinate is a function of t alone and its
+    y-coordinate is w times one.  So g_i descends to every quadratic twist:
+    on y^2 = d h(t) the point (t0, y0) is P = (t0, y0/sqrt d) on w^2 = h(t),
+    g_i(P) = (x, c sqrt d) with x, c rational, and (d x, d^2 c) lies on the
+    normalized twist y^2 = x^3 - A d^2 x + A d^3.
     """
 
     A: object
-    h: Poly
-    xi1: RationalFunction
-    ups1: RationalFunction
-    xi2: RationalFunction
-    ups2: RationalFunction
+    f1: CoveringMap
+    f2: CoveringMap
 
     def twisted_image(self, which, d, t0, y0):
         """Image on the normalized d-twist of E of the point (t0, y0) with
-        y0^2 = d h(t0); returns O on a pole."""
-        xi, ups = (self.xi1, self.ups1) if which == 1 else (self.xi2, self.ups2)
-        x = xi.evaluate(t0)
-        if x is INFINITY:
-            return ECPoint.zero()
-        u = ups.evaluate(t0)
-        if u is INFINITY:
-            raise CurveError("inconsistent pole in odd cover")
-        return ECPoint(d * x, d * u * y0)
+        y0^2 = d h(t0), by point arithmetic in Q(sqrt d); O where g_i(P) = O.
+        Raises CurveError when g_i(P) is not of the odd shape (x, c sqrt d)."""
+        f = self.f1 if which == 1 else self.f2
+        root = QuadraticNumber.sqrt(d)
+        R = f.evaluate(t0, y0 / root)
+        tx, ty = INFINITY_IMAGE
+        # -T lifted to Q(sqrt d): 2R - T then has coordinates there also when R = O
+        minus_T = ECPoint(tx + 0 * root, -ty + 0 * root)
+        G = _ec_add_unchecked(f.target, _ec_add_unchecked(f.target, R, R), minus_T)
+        if G.infinity:
+            return G
+        x, c = G.x, G.y / root
+        if isinstance(root, QuadraticNumber):
+            if x.b or c.b:
+                raise CurveError("odd cover has the wrong sheet parity")
+            x, c = x.a, c.a
+        return ECPoint(d * x, d * d * c)
 
     def twisted_curve(self, d):
         A = self.A
         return CubicModel(0 * A, -A * d * d, A * d**3)
 
 
-def _sym_double_then_subtract(X, Y, a4, tx, ty):
-    """2P - T for P = (X, Y) on y^2 = x^3 + a4 x + a6 and T = (tx, ty).
-
-    Every intermediate is gcd-reduced; otherwise the polynomial degrees grow
-    multiplicatively through the two chord steps.
-    """
-    lam = ((3 * X * X + a4) / (2 * Y)).reduced()
-    x2 = (lam * lam - X - X).reduced()
-    y2 = (lam * (X - x2) - Y).reduced()
-    # add -T = (tx, -ty)
-    lam2 = ((y2 + ty) / (x2 - tx)).reduced()
-    x3 = (lam2 * lam2 - x2 - tx).reduced()
-    y3 = (lam2 * (x2 - x3) - y2).reduced()
-    return x3, y3
-
-
-def _strip_content(num, den):
-    """Divide a pair of Fraction-coefficient polys by a common rational
-    content to keep coefficients small."""
-    from math import gcd
-
-    nums = [c.numerator for c in num.coeffs] + [c.numerator for c in den.coeffs]
-    dens = [c.denominator for c in num.coeffs] + [c.denominator for c in den.coeffs]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    if g == 0:
-        return num, den
-    scale = Fraction(l, g)
-    return num.map_coeffs(lambda c: c * scale), den.map_coeffs(lambda c: c * scale)
-
-
 def odd_covering_maps(A):
-    """Build the odd covers for a concrete rational A, with the on-curve
-    identity asserted before returning.  Results are cached per A."""
-    return _odd_covering_maps_cached(Fraction(A))
-
-
-@lru_cache(maxsize=16)
-def _odd_covering_maps_cached(A):
-    f1, f2 = covering_maps(A)
-    h = f1.h
-    a4 = -A
-    out = []
-    for f in (f1, f2):
-        x3, y3 = _sym_double_then_subtract(f.X, f.Y, a4, *INFINITY_IMAGE)
-        if x3.b or y3.a:
-            raise CurveError("odd cover has the wrong sheet parity")
-        xi_num, xi_den = _strip_content(x3.a, x3.den)
-        ups_num, ups_den = _strip_content(y3.b, y3.den)
-        # on-curve identity: (ups w)^2 == xi^3 - A xi + A modulo w^2 = h
-        lhs = ups_num * ups_num * h * xi_den**3
-        rhs = (xi_num**3 - A * xi_num * xi_den**2 + A * xi_den**3) * ups_den**2
-        if lhs != rhs:
-            raise CurveError("odd cover fails its on-curve identity")
-        out.append((RationalFunction(xi_num, xi_den), RationalFunction(ups_num, ups_den)))
-    return OddCoveringMaps(A=A, h=h, xi1=out[0][0], ups1=out[0][1], xi2=out[1][0], ups2=out[1][1])
+    """The odd covers for a concrete rational A."""
+    A = Fraction(A)
+    return OddCoveringMaps(A, *covering_maps(A))
 
 
 @dataclass(frozen=True)

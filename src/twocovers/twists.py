@@ -3,9 +3,12 @@
 For each rational t of height <= H (height of n/m in lowest terms is
 max(|n|, m)) the value h(t) of the degree-12 model factors as d s^2 with d a
 squarefree integer; (t, d s) is then a point on y^2 = d h(x), and the two
-sheet-odd covers push it to a pair of points on the normalized d-twist
-y^2 = x^3 - A d^2 x + A d^3.  Records are deduplicated per d, screened for
-small dependencies, and tabulated against the reference shape X^(1/6)/log^2 X.
+sheet-odd covers g_i = 2 f_i - (1, 1) push it to a pair of points on the
+normalized d-twist y^2 = x^3 - A d^2 x + A d^3.  Each image is computed at
+the point P = (t, s sqrt d) of H by arithmetic in Q(sqrt d)
+(OddCoveringMaps.twisted_image), with a sheet-parity check.  Records are
+deduplicated per d, screened for small dependencies, and tabulated against
+the reference shape X^(1/6)/log^2 X.
 """
 
 from __future__ import annotations

@@ -197,8 +197,8 @@ def verify_independence(A, p):
     witness_ii = None
     for tv in range(2, p):
         t0 = field(tv)
-        xv = f1.x_of_t.num.map_coeffs(to_fp)(t0), f1.x_of_t.den.map_coeffs(to_fp)(t0)
-        zv = f2.x_of_t.num.map_coeffs(to_fp)(t0), f2.x_of_t.den.map_coeffs(to_fp)(t0)
+        xv = f1.u.a.map_coeffs(to_fp)(t0), f1.u.den.map_coeffs(to_fp)(t0)
+        zv = f2.u.a.map_coeffs(to_fp)(t0), f2.u.den.map_coeffs(to_fp)(t0)
         if not xv[1] or not zv[1]:
             continue
         if xv[0] / xv[1] != zv[0] / zv[1]:

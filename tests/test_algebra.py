@@ -10,7 +10,7 @@ from twocovers.algebra import (
     Fp,
     Poly,
     PrimeField,
-    RationalFunction,
+    QuadraticNumber,
     WLinear,
     find_irreducible,
     is_prime,
@@ -280,23 +280,27 @@ class TestExtField:
         assert a * b == field(4)
 
 
-class TestRationalFunctionEval:
-    def test_plain(self):
-        f = RationalFunction(P(0, 1), P(1, 1))  # t/(1+t)
-        assert f.evaluate(F(1)) == F(1, 2)
+class TestQuadraticNumber:
+    def test_sqrt_of_rational_square_is_rational(self):
+        assert QuadraticNumber.sqrt(F(9, 4)) == F(3, 2)
+        assert isinstance(QuadraticNumber.sqrt(1), F)
+        r = QuadraticNumber.sqrt(-3)
+        assert isinstance(r, QuadraticNumber) and r * r == -3
 
-    def test_pole(self):
-        f = RationalFunction(P(1), P(-1, 1))
-        assert f.evaluate(F(1)) is INFINITY
+    def test_field_arithmetic(self):
+        r = QuadraticNumber.sqrt(F(-339))
+        x = F(2, 3) + 5 * r
+        y = 1 - r / 7
+        assert (x / y) * y == x
+        assert x - x == 0 and not (x - x)
+        assert F(1) / y * y == 1
+        assert (x + y) * (x - y) == x * x - y * y
+        with pytest.raises(ZeroDivisionError):
+            x / (r - r)
 
-    def test_removable(self):
-        # (t^2-1)/(t-1) at t=1 -> 2
-        f = RationalFunction(P(-1, 0, 1), P(-1, 1))
-        assert f.evaluate(F(1)) == 2
-
-    def test_zero_of_higher_order(self):
-        f = RationalFunction(P(-1, 1) * P(-1, 1), P(-1, 1))
-        assert f.evaluate(F(1)) == 0
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(AlgebraError):
+            QuadraticNumber.sqrt(2) + QuadraticNumber.sqrt(3)
 
 
 class TestWLinear:
@@ -311,16 +315,6 @@ class TestWLinear:
         w2 = w * w
         assert not w2.b
         assert w2.a == h
-
-    def test_inverse(self):
-        h = self._h()
-        w = WLinear.sheet(h, one=F(1))
-        t = WLinear.lift_poly(P(0, 1), h, one=F(1))
-        f = t + w
-        g = f * f.inverse()
-        # g == 1 as a function: a/den == 1 and b == 0
-        assert not g.b
-        assert g.a == g.den
 
     def test_evaluate_direct(self):
         h = self._h()
@@ -337,6 +331,24 @@ class TestWLinear:
         h = self._h()
         f = WLinear(P(1), P(0), P(-2, 1), h)
         assert f.evaluate(F(2), F(3)) is INFINITY
+
+    @pytest.mark.parametrize(
+        "num, den, value",
+        [
+            (P(0, 1), P(1, 1), F(1, 2)),  # t/(1+t)
+            (P(1), P(-1, 1), INFINITY),  # 1/(t-1)
+            (P(-1, 0, 1), P(-1, 1), 2),  # (t^2-1)/(t-1), removable
+            (P(-1, 1) * P(-1, 1), P(-1, 1), 0),  # (t-1)^2/(t-1), zero of higher order
+        ],
+        ids=["plain", "pole", "removable", "zero_of_higher_order"],
+    )
+    def test_evaluate_sheet_free(self, num, den, value):
+        # functions of t alone, at the point (1, 1) of w^2 = t^3
+        result = WLinear(num, P(0), den, P(0, 0, 0, 1)).evaluate(F(1), F(1))
+        if value is INFINITY:
+            assert result is INFINITY
+        else:
+            assert result == value
 
     def test_evaluate_conjugate_case(self):
         h = self._h()

@@ -24,3 +24,20 @@ def test_traced_run_finds_every_wrapped_name():
     assert run.exit_code == 0
     assert run.error is None
     assert run.unrestored == []
+
+
+def test_traced_census_records_every_cover_image():
+    # the census metrics (constructions.odd_covering_maps_s,
+    # twists.cover_images_s) come from these spans; a refactor that routes
+    # around the wrapped names would leave them reading zero
+    layers = _load_layers()
+    run = layers.traced_cli_run(["twists", "--A", "-27", "--height", "3"], "t")
+    assert run.exit_code == 0
+    assert run.error is None
+    assert run.unrestored == []
+    names = [span["name"] for span in run.spans]
+    rows = [line.split("\t") for line in run.stdout.splitlines()[1:]]
+    factored = [row for row in rows if row[2] != "-"]
+    assert factored
+    assert names.count("constructions.odd_covering_maps") == 1
+    assert names.count("twists.cover_image") == 2 * len(factored)

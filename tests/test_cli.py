@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -178,6 +179,23 @@ class TestInputValidation:
         assert err[0].endswith("--help)")
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["construct", "--A", "-27", "--B", "5"],
+            ["zeta", "--A", "-27", "--B", "5", "--curve", "H2", "--primes", "7"],
+            ["construct", "--theorem", "1", "--A", "1", "--B", "1", "--j", "5"],
+            ["zeta", "--theorem", "1", "--A", "1", "--B", "1", "--j", "5", "--curve", "E"],
+        ],
+        ids=["construct-thm2-B", "zeta-thm2-B", "construct-thm1-j", "zeta-thm1-j"],
+    )
+    def test_flag_of_the_other_theorem_exit_2(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestTwistsAndGrowth:
     def test_twists_tsv(self, capsys):
         code, out, _ = run_cli(["twists", "--A", "-27", "--height", "3"], capsys)
@@ -196,6 +214,23 @@ class TestTwistsAndGrowth:
         lines = out.strip().splitlines()
         assert lines[0] == "X\tN\treference"
         assert len(lines) == 4
+
+
+class TestCensusDigest:
+    # sha256 of the stdout of the census before cover images were computed by
+    # point arithmetic over Q(sqrt d); pins every image coordinate and status
+    @pytest.mark.parametrize(
+        "A, digest",
+        [
+            ("-27", "46f4de21532a3d5f8720e295d8cb6e63c77d3ae66d4bb60540f8bfa8dcb2f76a"),
+            ("7/2", "e0e5e30d5bbc46bcb2df5aa8891f402f48c29a3d34bf23c4eaee66d2ddc3df9d"),
+        ],
+        ids=["A=-27", "A=7/2"],
+    )
+    def test_height_12_stdout_is_pinned(self, A, digest, capsys):
+        code, out, _ = run_cli(["twists", "--A", A, "--height", "12"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from twocovers import constructions
 from twocovers.algebra import Poly
 from twocovers.constructions import (
     INFINITY_IMAGE,
@@ -323,7 +324,8 @@ class TestQuotientMaps:
 class TestOddCovers:
     def test_build_and_identity(self):
         maps = odd_covering_maps(F(-27))
-        # identity asserted internally; spot-check values on the d = 1 twist
+        # spot-check values on the d = 1 twist (sqrt d rational, so no parity
+        # check); t = -1 is a removable zero denominator of the covers
         P = maps.twisted_image(1, F(1), F(-1), F(8))
         assert P == ECPoint(F(1), F(1))
         Q = maps.twisted_image(2, F(1), F(-1), F(8))
@@ -342,6 +344,25 @@ class TestOddCovers:
         P2 = maps.twisted_image(2, d, F(0), y0)
         assert on_curve(Ed, P1) and on_curve(Ed, P2)
         assert not P1.infinity and not P2.infinity
+
+    def test_square_twist_is_rescaling(self):
+        # d = 4 is a rational square: the 4-twist is (x, y) -> (4x, 8y) of d = 1
+        maps = odd_covering_maps(F(-27))
+        for which in (1, 2):
+            P = maps.twisted_image(which, F(1), F(-1), F(8))
+            Q = maps.twisted_image(which, F(4), F(-1), F(16))
+            assert Q == ECPoint(4 * P.x, 8 * P.y)
+
+    def test_wrong_parity_raises(self, monkeypatch):
+        # the record t = -2 of A = -27: h(-2) = -339 * 3^2, y0 = d s
+        maps = odd_covering_maps(F(-27))
+        d, y0 = F(-339), F(-339 * 3)
+        P = maps.twisted_image(1, d, F(-2), y0)
+        assert on_curve(maps.twisted_curve(d), P)
+        # 2 f1 + (1, 1) in place of 2 f1 - (1, 1) is not odd in w
+        monkeypatch.setattr(constructions, "INFINITY_IMAGE", (F(1), F(-1)))
+        with pytest.raises(CurveError, match="parity"):
+            maps.twisted_image(1, d, F(-2), y0)
 
     def test_twisted_points_many_t(self):
         A = F(-27)
