@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -65,6 +66,23 @@ def _rational(text):
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+
+
+_RATIONAL_FLAGS = ("--j", "--A", "--B")
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+\Z")
+
+
+def _join_negative_fractions(argv):
+    """argparse takes a negative number only in the form -<digits> or a
+    decimal, so the value "-3/4" after --A would read as a flag; such a
+    value is joined to its flag as "--A=-3/4"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE_FRACTION.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _int_list(text):
@@ -327,7 +345,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (UsageError, UnsupportedJError, CurveError, BadPrimeError, CountingBudgetError) as exc:

@@ -8,7 +8,9 @@ normalized d-twist y^2 = x^3 - A d^2 x + A d^3.  Each image is computed at
 the point P = (t, s sqrt d) of H by arithmetic in Q(sqrt d)
 (OddCoveringMaps.twisted_image), with a sheet-parity check.  Records are
 deduplicated per d, screened for small dependencies, and tabulated against
-the reference shape X^(1/6)/log^2 X.
+the reference shape X^(1/6)/log^2 X.  The screen rules out relations by
+reducing mod good primes above 1000 and confirms any relation that no prime
+rules out exactly over Q.
 """
 
 from __future__ import annotations
@@ -17,13 +19,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import is_prime
+from .algebra import Fp, is_prime
 from .constructions import genus5_poly, odd_covering_maps
-from .curves import CurveError, ECPoint, ec_neg, on_curve, _ec_add_unchecked
+from .curves import (
+    CubicModel,
+    CurveError,
+    ECPoint,
+    discriminant,
+    ec_neg,
+    ec_scalar,
+    on_curve,
+    _ec_add_unchecked,
+)
 
 TRIAL_DIVISION_BOUND = 10_000
 RHO_ITERATION_BUDGET = 1_000_000
 RELATION_BOUND = 12
+SIEVE_PRIME_FLOOR = 1000
+SIEVE_PRIME_CAP = 40
 
 STATUS_INDEPENDENT = "independent-candidate"
 STATUS_DEPENDENT = "dependent-or-torsion"
@@ -163,34 +176,78 @@ def _enumerate_heights(height_bound):
                 yield Fraction(n, m)
 
 
+def _sieve_primes():
+    """Primes above SIEVE_PRIME_FLOOR, in increasing order, for the screen."""
+    return (p for p in _SMALL_PRIMES if p > SIEVE_PRIME_FLOOR)
+
+
+def _reduce(c, p):
+    c = Fraction(c)
+    return Fp(c.numerator, p) / c.denominator
+
+
+def _relations_mod_p(E_d, P1, P2, p, bound):
+    """The pairs (a, b) of the half-box with a Q1 + b Q2 = O, where Q1, Q2
+    are P1, P2 reduced mod p on the reduction of E_d."""
+    E_p = CubicModel(_reduce(E_d.a2, p), _reduce(E_d.a4, p), _reduce(E_d.a6, p))
+    Q1, Q2 = (ECPoint(_reduce(P.x, p), _reduce(P.y, p)) for P in (P1, P2))
+    by_point = {}  # a Q1 -> [a]
+    acc = ECPoint.zero()
+    for a in range(bound + 1):
+        by_point.setdefault(acc, []).append(a)
+        acc = _ec_add_unchecked(E_p, acc, Q1)
+    found = set()
+    acc = ECPoint.zero()
+    for b in range(bound + 1):
+        # a Q1 = -(b Q2) gives (a, b); a Q1 = b Q2 gives (a, -b)
+        for a in by_point.get(ec_neg(acc), ()):
+            found.add((a, b))
+        for a in by_point.get(acc, ()):
+            found.add((a, -b))
+        acc = _ec_add_unchecked(E_p, acc, Q2)
+    return {(a, b) for a, b in found if a > 0 or b > 0}
+
+
+def _exact_relation(E_d, P1, P2, pairs):
+    """True iff a P1 = -b P2 over Q for one of the pairs (a, b); each
+    multiple is computed once, since a whole box can reach this step."""
+    multiples1 = {a: ec_scalar(E_d, a, P1) for a in {a for a, _ in pairs}}
+    multiples2 = {b: ec_scalar(E_d, b, P2) for b in {-b for _, b in pairs}}
+    return any(multiples1[a] == multiples2[-b] for a, b in pairs)
+
+
 def independence_screen(E_d, P1, P2, bound=RELATION_BOUND):
-    """Conservative screen: independent-candidate only when neither point is
-    torsion of order <= bound and no relation a P1 + b P2 = O exists with
-    0 < max(|a|, |b|) <= bound."""
+    """Conservative screen: dependent-or-torsion exactly when a P1 + b P2 = O
+    for some (a, b) != (0, 0) with |a|, |b| <= bound (b = 0 is P1 torsion of
+    order <= bound), independent-candidate otherwise.
+
+    Up to sign a relation lies in the half-box 0 <= a <= bound, |b| <= bound,
+    (a, b) > (0, 0).  At a prime p of good reduction at which E_d, P1 and P2
+    are p-integral, reduction mod p is a group homomorphism, so a relation
+    over Q holds mod p too.  Each such prime above SIEVE_PRIME_FLOOR cuts the
+    box down to the pairs that hold mod p; an empty box proves independence
+    (within the box).  After SIEVE_PRIME_CAP primes the pairs left are
+    checked exactly over Q, so dependence is claimed only when it holds.
+    """
     for P in (P1, P2):
         if not on_curve(E_d, P):
             raise CurveError(f"{P!r} is not on {E_d!r}")
     if P1.infinity or P2.infinity:
         return STATUS_DEPENDENT
-    multiples1 = {}
-    acc = ECPoint.zero()
-    for a in range(1, bound + 1):
-        acc = _ec_add_unchecked(E_d, acc, P1)
-        if acc.infinity:
-            return STATUS_DEPENDENT  # torsion
-        multiples1[acc] = a
-    acc = ECPoint.zero()
-    multiples2 = []
-    for b in range(1, bound + 1):
-        acc = _ec_add_unchecked(E_d, acc, P2)
-        if acc.infinity:
-            return STATUS_DEPENDENT
-        multiples2.append(acc)
-    # a P1 + b P2 = O  <=>  a P1 = (-b) P2 for some a, |b| in [1, bound]
-    for Q in multiples2:
-        if Q in multiples1 or ec_neg(Q) in multiples1:
-            return STATUS_DEPENDENT
-    return STATUS_INDEPENDENT
+    survivors = {(a, b) for a in range(bound + 1) for b in range(-bound, bound + 1) if a > 0 or b > 0}
+    denominators = [Fraction(c).denominator for c in (E_d.a2, E_d.a4, E_d.a6, P1.x, P1.y, P2.x, P2.y)]
+    disc = discriminant(E_d).numerator
+    used = 0
+    for p in _sieve_primes():
+        if used == SIEVE_PRIME_CAP:
+            break
+        if disc % p == 0 or any(den % p == 0 for den in denominators):
+            continue
+        used += 1
+        survivors &= _relations_mod_p(E_d, P1, P2, p, bound)
+        if not survivors:
+            return STATUS_INDEPENDENT
+    return STATUS_DEPENDENT if _exact_relation(E_d, P1, P2, survivors) else STATUS_INDEPENDENT
 
 
 def census(A, height_bound):

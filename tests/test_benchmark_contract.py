@@ -28,8 +28,9 @@ def test_traced_run_finds_every_wrapped_name():
 
 def test_traced_census_records_every_cover_image():
     # the census metrics (constructions.odd_covering_maps_s,
-    # twists.cover_images_s) come from these spans; a refactor that routes
-    # around the wrapped names would leave them reading zero
+    # twists.cover_images_s, twists.screen_s) come from these spans; a
+    # refactor that routes around the wrapped names would leave them reading
+    # zero
     layers = _load_layers()
     run = layers.traced_cli_run(["twists", "--A", "-27", "--height", "3"], "t")
     assert run.exit_code == 0
@@ -41,3 +42,6 @@ def test_traced_census_records_every_cover_image():
     assert factored
     assert names.count("constructions.odd_covering_maps") == 1
     assert names.count("twists.cover_image") == 2 * len(factored)
+    screened = [row for row in factored if row[-1] != "degenerate"]
+    assert screened
+    assert names.count("twists.screen") == len(screened)

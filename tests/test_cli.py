@@ -195,6 +195,24 @@ class TestInputValidation:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "args, joined",
+        [
+            (["twists", "--A", "-3/4", "--height", "12"], ["twists", "--A=-3/4", "--height", "12"]),
+            (["construct", "--j", "-3/4"], ["construct", "--j=-3/4"]),
+            (
+                ["construct", "--theorem", "1", "--A", "1", "--B", "-1/2"],
+                ["construct", "--theorem", "1", "--A", "1", "--B=-1/2"],
+            ),
+        ],
+        ids=["twists-A", "construct-j", "construct-thm1-B"],
+    )
+    def test_negative_fraction_as_separate_argument(self, args, joined, capsys):
+        # argparse alone reads "-3/4" as a flag, not as the value of --A
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        assert run_cli(joined, capsys) == (code, out, err)
+
 
 class TestTwistsAndGrowth:
     def test_twists_tsv(self, capsys):

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from twocovers.constructions import genus5_poly
-from twocovers.curves import CubicModel, ECPoint, ec_scalar, on_curve
+from twocovers import twists
+from twocovers.constructions import genus5_poly, odd_covering_maps
+from twocovers.curves import CubicModel, ECPoint, ec_add, ec_neg, ec_scalar, on_curve
 from twocovers.twists import (
     STATUS_DEGENERATE,
     STATUS_DEPENDENT,
@@ -101,26 +103,92 @@ class TestIndependenceScreen:
         Q = ec_scalar(self.E, 5, P)
         assert independence_screen(self.E, P, Q) == STATUS_DEPENDENT
 
-    def test_conservative_never_false_positive(self):
-        # brute-force check on a random record that passed the screen
-        recs = [r for r in census(F(-27), 6) if r.status == STATUS_INDEPENDENT]
-        assert recs
-        r = recs[0]
-        E_d = CubicModel(F(0), F(-(-27) * r.d**2), F(-27 * r.d**3))
-        mults1 = [ECPoint.zero()]
-        mults2 = [ECPoint.zero()]
-        for k in range(1, 13):
-            mults1.append(ec_scalar(E_d, k, r.P1))
-            mults2.append(ec_scalar(E_d, k, r.P2))
-        for a in range(-12, 13):
-            for b in range(-12, 13):
-                if not a and not b:
-                    continue
-                Pa = mults1[abs(a)] if a >= 0 else ECPoint(mults1[-a].x, -mults1[-a].y) if not mults1[-a].infinity else ECPoint.zero()
-                Pb = mults2[abs(b)] if b >= 0 else ECPoint(mults2[-b].x, -mults2[-b].y) if not mults2[-b].infinity else ECPoint.zero()
-                from twocovers.curves import _ec_add_unchecked
+    def test_box_edge_twelve_is_dependent(self):
+        P = ECPoint(F(1), F(1))
+        assert independence_screen(self.E, P, ec_scalar(self.E, 12, P)) == STATUS_DEPENDENT
 
-                assert not _ec_add_unchecked(E_d, Pa, Pb).infinity
+    def test_box_edge_thirteen_is_candidate(self):
+        # the only relations of (P, 13P) are multiples of 13 P1 - P2, outside the box
+        P = ECPoint(F(1), F(1))
+        assert independence_screen(self.E, P, ec_scalar(self.E, 13, P)) == STATUS_INDEPENDENT
+
+    def test_torsion_translate_is_dependent(self):
+        # y^2 = x^3 - 2x: T = (0, 0) has order 2, P = (2, 2) infinite order
+        # (2P has x = 9/4); (P, P + T) is dependent only through 2 P1 - 2 P2
+        E = CubicModel(F(0), F(-2), F(0))
+        T, P = ECPoint(F(0), F(0)), ECPoint(F(2), F(2))
+        assert ec_scalar(E, 2, P).x == F(9, 4)
+        assert independence_screen(E, P, ec_add(E, P, T)) == STATUS_DEPENDENT
+
+    def test_torsion_second_point_is_dependent(self):
+        # (P, T) on y^2 = x^3 - 2x is dependent only through 2 P2 = O, a = 0
+        E = CubicModel(F(0), F(-2), F(0))
+        assert independence_screen(E, ECPoint(F(2), F(2)), ECPoint(F(0), F(0))) == STATUS_DEPENDENT
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_exact_confirmation_alone(self, p, monkeypatch):
+        # one small prime leaves survivors in the box (p = 5 divides the
+        # discriminant of every E_d at A = -27 and is skipped, so the whole
+        # box goes to the exact step); the status must not change
+        P = ECPoint(F(1), F(1))
+        E2 = CubicModel(F(0), F(-1), F(0))
+        expected = [
+            (self.E, P, ECPoint(F(1), F(-1)), STATUS_DEPENDENT),
+            (self.E, P, P, STATUS_DEPENDENT),
+            (E2, ECPoint(F(0), F(0)), ECPoint(F(1), F(0)), STATUS_DEPENDENT),
+            (self.E, P, ec_scalar(self.E, 5, P), STATUS_DEPENDENT),
+            # 7 divides the denominator of 12P, so p = 7 is skipped for this pair
+            (self.E, P, ec_scalar(self.E, 12, P), STATUS_DEPENDENT),
+        ]
+        maps = odd_covering_maps(self.A)
+        for r in census(self.A, 6):
+            if r.d is not None and r.status != STATUS_DEGENERATE:
+                expected.append((maps.twisted_curve(F(r.d)), r.P1, r.P2, r.status))
+        assert {status for *_, status in expected} == {STATUS_DEPENDENT, STATUS_INDEPENDENT}
+
+        confirmed = []
+        exact_relation = twists._exact_relation
+
+        def spy(E_d, P1, P2, pairs):
+            confirmed.append(pairs)
+            return exact_relation(E_d, P1, P2, pairs)
+
+        monkeypatch.setattr(twists, "_sieve_primes", lambda: iter([p]))
+        monkeypatch.setattr(twists, "_exact_relation", spy)
+        for E_d, P1, P2, status in expected:
+            assert independence_screen(E_d, P1, P2) == status
+        assert len(confirmed) == len(expected) and all(confirmed)
+
+    def test_conservative_never_false_positive(self):
+        # every census record gets the status of the brute-force rational
+        # box check; A = 7/2 gives E_d rational coefficients, and at
+        # d = 64046 = 2 * 31 * 1033 the sieve skips 1033, a bad prime
+        for A in (F(-27), F(7, 2)):
+            maps = odd_covering_maps(A)
+            records = [r for r in census(A, 6) if r.d is not None and r.status != STATUS_DEGENERATE]
+            assert STATUS_INDEPENDENT in {r.status for r in records}
+            for r in records:
+                E_d = maps.twisted_curve(F(r.d))
+                assert r.status == _brute_force_status(E_d, r.P1, r.P2), (A, r.d)
+
+
+def _brute_force_status(E_d, P1, P2, bound=12):
+    """The screen's definition checked over Q: a P1 + b P2 = O for some
+    (a, b) != (0, 0) with |a|, |b| <= bound, i.e. a P1 = +-b P2 with
+    0 <= a, b <= bound."""
+
+    def multiples(P):
+        out = [ECPoint.zero()]
+        for _ in range(bound):
+            out.append(ec_add(E_d, out[-1], P))
+        return out
+
+    mults1, mults2 = multiples(P1), multiples(P2)
+    for a in range(bound + 1):
+        for b in range(bound + 1):
+            if (a or b) and mults1[a] in (mults2[b], ec_neg(mults2[b])):
+                return STATUS_DEPENDENT
+    return STATUS_INDEPENDENT
 
 
 class TestCensus:
@@ -131,6 +199,14 @@ class TestCensus:
         assert len(factored) == ORACLE_DISTINCT_D
         ds = [r.d for r in factored]
         assert ds[: len(ORACLE_SMALLEST_D)] == ORACLE_SMALLEST_D
+
+    def test_height25_runtime(self):
+        # the screen decides at primes above 1000 first; checking the whole
+        # box over Q took about 9 s here
+        start = time.perf_counter()
+        census(F(-27), 25)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 6.0, f"took {elapsed:.1f}s"
 
     def test_universal_records(self):
         recs = census(F(-27), 2)
