@@ -1,16 +1,15 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are python Fractions (arbitrary precision), elements of a quadratic
-field Q(sqrt d), prime-field elements, or extension-field elements.  Polynomials are dense, generic over any of these
-coefficient rings, including nested Poly coefficients for parameter rings
-like Q[A][t] and Q[A,B][x][z].
+Scalars are python Fractions (arbitrary precision), prime-field elements,
+or extension-field elements.  Polynomials are dense, generic over any of
+these coefficient rings, including nested Poly coefficients for parameter
+rings like Q[A][t] and Q[A,B][x][z].
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
 
 Rational = Fraction
 
@@ -161,71 +160,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"F_{self.p}"
-
-
-class QuadraticNumber:
-    """a + b sqrt(d) in Q(sqrt d), d a rational non-square; ints and
-    Fractions take part as b = 0."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        self.a, self.b, self.d = a, b, d
-
-    @classmethod
-    def sqrt(cls, d):
-        """sqrt(d): a Fraction when d is a rational square, else sqrt(d) in Q(sqrt d)."""
-        d = Fraction(d)
-        n, m = isqrt(max(d.numerator, 0)), isqrt(d.denominator)
-        if n * n == d.numerator and m * m == d.denominator:
-            return Fraction(n, m)
-        return cls(Fraction(0), Fraction(1), d)
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other, 0, self.d)
-        if isinstance(other, QuadraticNumber) and other.d == self.d:
-            return other
-        raise AlgebraError(f"{other!r} is not in Q(sqrt {self.d})")
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
-
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        a = self.a * o.a + self.b * o.b * self.d
-        return QuadraticNumber(a, self.a * o.b + self.b * o.a, self.d)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        norm = o.a * o.a - o.b * o.b * self.d
-        if not norm:
-            raise ZeroDivisionError(f"division by zero in Q(sqrt {self.d})")
-        return self * QuadraticNumber(o.a / norm, -o.b / norm, self.d)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __eq__(self, other):
-        return isinstance(other, (int, Fraction, QuadraticNumber)) and not self - other
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
 def is_prime(n):

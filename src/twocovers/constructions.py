@@ -22,16 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .algebra import INFINITY, Poly, QuadraticNumber, WLinear
+from .algebra import INFINITY, Poly, WLinear
 from .curves import (
     CubicModel,
     CurveError,
     ECPoint,
     HyperellipticModel,
+    QuarticJacobian,
     QuarticModel,
     SingularModelError,
     _ec_add_unchecked,
+    ec_neg,
     hyperelliptic_genus,
     j_invariant,
     literal_twist,
@@ -216,7 +219,9 @@ class CoveringMap:
 
     u, v: the map into the quartic model, (t, w) -> (u, v) with u = x(t) =
     num/q and v = w/(8 q^2), q = t^3+t^2+t+1;
-    X, Y: the full composite coordinates on w^2 = h(t), each (a + b w)/den.
+    X, Y: the full composite coordinates on w^2 = h(t), each (a + b w)/den;
+    jacobian: the rescaled quartic-Jacobian map D -> E, so that
+    X = xa(u) + xb(u) v and Y = ya(u) + yb(u) v.
     """
 
     name: str
@@ -228,6 +233,7 @@ class CoveringMap:
     h: Poly
     target: CubicModel
     quartic: QuarticModel
+    jacobian: QuarticJacobian
     degree_into_quartic: int = 3
 
     def evaluate(self, t0, w0):
@@ -245,6 +251,18 @@ class CoveringMap:
         if x is INFINITY:
             return None
         return (x, self.v.evaluate(t0, w0))
+
+    def sheet_split(self, t0):
+        """(alpha, beta, gamma, delta) with f(t0, w) = (alpha + beta w,
+        gamma + delta w) for both roots w of w^2 = h(t0); None where u has a
+        pole (q(t0) = 0)."""
+        q0 = self.u.den(t0)
+        if not q0:
+            return None
+        u0 = self.u.a(t0) / q0
+        v1 = self.v.b(t0) / self.v.den(t0)
+        (xa, xb), (ya, yb) = self.jacobian.x_map, self.jacobian.y_map
+        return xa(u0), xb(u0) * v1, ya(u0), yb(u0) * v1
 
 
 def family_identity_residual(A, h):
@@ -288,7 +306,9 @@ def covering_maps(A):
         u = WLinear(num, Poly([]), q, h)
         X = xa(u) + xb(u) * v
         Y = ya(u) + yb(u) * v
-        return CoveringMap(name=name, A=A, u=u, v=v, X=X, Y=Y, h=h, target=fam.E, quartic=fam.D)
+        return CoveringMap(
+            name=name, A=A, u=u, v=v, X=X, Y=Y, h=h, target=fam.E, quartic=fam.D, jacobian=jac
+        )
 
     return composite("f1", x_num), composite("f2", z_num)
 
@@ -356,6 +376,19 @@ def quotient_maps(A):
 # odd covers and twist transport
 
 
+def _rational_sqrt(c):
+    n, m = isqrt(max(c.numerator, 0)), isqrt(c.denominator)
+    if n * n != c.numerator or m * m != c.denominator:
+        raise CurveError(f"{c} is not a rational square")
+    return Fraction(n, m)
+
+
+def _check_parity(S):
+    """S = f_i(P) + f_i(iota P) must be the common image (1, 1)."""
+    if (S.x, S.y) != INFINITY_IMAGE:
+        raise CurveError("odd cover has the wrong sheet parity: f_i(P) + f_i(iota P) != (1, 1)")
+
+
 @dataclass(frozen=True)
 class OddCoveringMaps:
     """The sheet-odd covers g_i = 2 f_i - (1, 1) of the two covers f1, f2.
@@ -363,9 +396,9 @@ class OddCoveringMaps:
     The identity f_i(P) + f_i(iota P) = (1, 1) for the sheet involution iota
     makes g_i odd in w: its x-coordinate is a function of t alone and its
     y-coordinate is w times one.  So g_i descends to every quadratic twist:
-    on y^2 = d h(t) the point (t0, y0) is P = (t0, y0/sqrt d) on w^2 = h(t),
-    g_i(P) = (x, c sqrt d) with x, c rational, and (d x, d^2 c) lies on the
-    normalized twist y^2 = x^3 - A d^2 x + A d^3.
+    on y^2 = d h(t) the point (t0, y0) is P = (t0, w) on w^2 = h(t) with
+    w = y0/sqrt d, g_i(P) = (x, c' w) with x, c' rational, and (d x, d c' y0)
+    lies on the normalized twist y^2 = x^3 - A d^2 x + A d^3.
     """
 
     A: object
@@ -374,23 +407,42 @@ class OddCoveringMaps:
 
     def twisted_image(self, which, d, t0, y0):
         """Image on the normalized d-twist of E of the point (t0, y0) with
-        y0^2 = d h(t0), by point arithmetic in Q(sqrt d); O where g_i(P) = O.
-        Raises CurveError when g_i(P) is not of the odd shape (x, c sqrt d)."""
+        y0^2 = d h(t0); O where g_i(P) = O.
+
+        At P = (t0, w), R = f_i(P) = (alpha + beta w, gamma + delta w) with
+        rational alpha..delta (CoveringMap.sheet_split), and iota P = (t0, -w)
+        maps to the conjugate Rbar = (alpha - beta w, gamma - delta w).  As
+        R + Rbar = (1, 1), g_i(P) = 2R - (1, 1) = R - Rbar, and both sums have
+        closed forms in alpha..delta and rho = w^2 = y0^2/d, so the image is
+        computed in Q without sqrt d.  Every image checks R + Rbar = (1, 1)
+        exactly and raises CurveError ("wrong sheet parity") otherwise."""
         f = self.f1 if which == 1 else self.f2
-        root = QuadraticNumber.sqrt(d)
-        R = f.evaluate(t0, y0 / root)
-        tx, ty = INFINITY_IMAGE
-        # -T lifted to Q(sqrt d): 2R - T then has coordinates there also when R = O
-        minus_T = ECPoint(tx + 0 * root, -ty + 0 * root)
-        G = _ec_add_unchecked(f.target, _ec_add_unchecked(f.target, R, R), minus_T)
-        if G.infinity:
-            return G
-        x, c = G.x, G.y / root
-        if isinstance(root, QuadraticNumber):
-            if x.b or c.b:
-                raise CurveError("odd cover has the wrong sheet parity")
-            x, c = x.a, c.a
-        return ECPoint(d * x, d * d * c)
+        E = f.target
+        split = f.sheet_split(t0)
+        if split is None:
+            # t0 = -1, the one rational pole of u: h(-1) = 64, so d is a
+            # square and w = y0/sqrt d is rational
+            root = _rational_sqrt(d)
+            R, Rbar = f.evaluate(t0, y0 / root), f.evaluate(t0, -y0 / root)
+            _check_parity(_ec_add_unchecked(E, R, Rbar))
+            G = _ec_add_unchecked(E, R, ec_neg(Rbar))
+            return G if G.infinity else ECPoint(d * G.x, d * d * G.y / root)
+        alpha, beta, gamma, delta = split
+        if not (beta and y0):
+            # R and Rbar share their x-coordinate: either Rbar = R, 2R must
+            # be (1, 1) and g_i(P) = O, or gamma = 0 and Rbar = -R, whose sum
+            # O fails the check just as the doubling of (alpha, 0) does
+            R = ECPoint(alpha, gamma)
+            _check_parity(_ec_add_unchecked(E, R, R))
+            return ECPoint.zero()
+        a2 = E.a2
+        mu = delta / beta  # slope of the chord through R and Rbar
+        xs = mu * mu - a2 - 2 * alpha
+        _check_parity(ECPoint(xs, mu * (alpha - xs) - gamma))
+        k = gamma / (beta * y0 * y0 / d)  # slope of the chord through R and -Rbar, over w
+        x = k * gamma / beta - a2 - 2 * alpha
+        c = k * (alpha - x) - delta
+        return ECPoint(d * x, d * c * y0)
 
     def twisted_curve(self, d):
         A = self.A

@@ -5,8 +5,9 @@ max(|n|, m)) the value h(t) of the degree-12 model factors as d s^2 with d a
 squarefree integer; (t, d s) is then a point on y^2 = d h(x), and the two
 sheet-odd covers g_i = 2 f_i - (1, 1) push it to a pair of points on the
 normalized d-twist y^2 = x^3 - A d^2 x + A d^3.  Each image is computed at
-the point P = (t, s sqrt d) of H by arithmetic in Q(sqrt d)
-(OddCoveringMaps.twisted_image), with a sheet-parity check.  Records are
+the point P = (t, s sqrt d) of H as R - Rbar, R = f_i(P) and Rbar its
+conjugate, by closed forms in rationals (OddCoveringMaps.twisted_image),
+with an exact check that R + Rbar = (1, 1).  Records are
 deduplicated per d, screened for small dependencies, and tabulated against
 the reference shape X^(1/6)/log^2 X.  The screen rules out relations by
 reducing mod good primes above 1000 and confirms any relation that no prime
@@ -19,18 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fp, is_prime
+from .algebra import is_prime
 from .constructions import genus5_poly, odd_covering_maps
-from .curves import (
-    CubicModel,
-    CurveError,
-    ECPoint,
-    discriminant,
-    ec_neg,
-    ec_scalar,
-    on_curve,
-    _ec_add_unchecked,
-)
+from .curves import CurveError, ECPoint, discriminant, ec_scalar, on_curve
 
 TRIAL_DIVISION_BOUND = 10_000
 RHO_ITERATION_BUDGET = 1_000_000
@@ -181,30 +173,47 @@ def _sieve_primes():
     return (p for p in _SMALL_PRIMES if p > SIEVE_PRIME_FLOOR)
 
 
-def _reduce(c, p):
-    c = Fraction(c)
-    return Fp(c.numerator, p) / c.denominator
-
-
 def _relations_mod_p(E_d, P1, P2, p, bound):
     """The pairs (a, b) of the half-box with a Q1 + b Q2 = O, where Q1, Q2
-    are P1, P2 reduced mod p on the reduction of E_d."""
-    E_p = CubicModel(_reduce(E_d.a2, p), _reduce(E_d.a4, p), _reduce(E_d.a6, p))
-    Q1, Q2 = (ECPoint(_reduce(P.x, p), _reduce(P.y, p)) for P in (P1, P2))
+    are P1, P2 reduced mod p on the reduction of E_d.  Residues are ints in
+    [0, p), a point is an (x, y) tuple and O is None."""
+
+    def reduce(c):
+        return c.numerator * pow(c.denominator, -1, p) % p
+
+    a2, a4 = reduce(E_d.a2), reduce(E_d.a4)
+
+    def add(P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - a2 - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    Q1, Q2 = ((reduce(P.x), reduce(P.y)) for P in (P1, P2))
     by_point = {}  # a Q1 -> [a]
-    acc = ECPoint.zero()
+    acc = None
     for a in range(bound + 1):
         by_point.setdefault(acc, []).append(a)
-        acc = _ec_add_unchecked(E_p, acc, Q1)
+        acc = add(acc, Q1)
     found = set()
-    acc = ECPoint.zero()
+    acc = None
     for b in range(bound + 1):
         # a Q1 = -(b Q2) gives (a, b); a Q1 = b Q2 gives (a, -b)
-        for a in by_point.get(ec_neg(acc), ()):
+        minus = None if acc is None else (acc[0], -acc[1] % p)
+        for a in by_point.get(minus, ()):
             found.add((a, b))
         for a in by_point.get(acc, ()):
             found.add((a, -b))
-        acc = _ec_add_unchecked(E_p, acc, Q2)
+        acc = add(acc, Q2)
     return {(a, b) for a, b in found if a > 0 or b > 0}
 
 

@@ -10,7 +10,6 @@ from twocovers.algebra import (
     Fp,
     Poly,
     PrimeField,
-    QuadraticNumber,
     WLinear,
     find_irreducible,
     is_prime,
@@ -278,29 +277,6 @@ class TestExtField:
         a, b = field(3), field(6)
         assert a + b == field(2)
         assert a * b == field(4)
-
-
-class TestQuadraticNumber:
-    def test_sqrt_of_rational_square_is_rational(self):
-        assert QuadraticNumber.sqrt(F(9, 4)) == F(3, 2)
-        assert isinstance(QuadraticNumber.sqrt(1), F)
-        r = QuadraticNumber.sqrt(-3)
-        assert isinstance(r, QuadraticNumber) and r * r == -3
-
-    def test_field_arithmetic(self):
-        r = QuadraticNumber.sqrt(F(-339))
-        x = F(2, 3) + 5 * r
-        y = 1 - r / 7
-        assert (x / y) * y == x
-        assert x - x == 0 and not (x - x)
-        assert F(1) / y * y == 1
-        assert (x + y) * (x - y) == x * x - y * y
-        with pytest.raises(ZeroDivisionError):
-            x / (r - r)
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(AlgebraError):
-            QuadraticNumber.sqrt(2) + QuadraticNumber.sqrt(3)
 
 
 class TestWLinear:

@@ -250,6 +250,14 @@ class TestCensusDigest:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_height_25_stdout_is_pinned(self, capsys):
+        # the benchmark's census workload; the same digest as in
+        # perfbench/reference.json
+        code, out, _ = run_cli(["twists", "--A", "-27", "--height", "25"], capsys)
+        assert code == 0
+        digest = "e1f96f5c4f2d6c390496c2f728f9b697f8483526e0457cb7a0a83bfd7bf8b4d9"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestDeterminism:
     CASES = [

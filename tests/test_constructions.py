@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from twocovers import constructions
-from twocovers.algebra import Poly
+from twocovers.algebra import Fp, Poly, is_prime
 from twocovers.constructions import (
     INFINITY_IMAGE,
     ConstructionParams,
@@ -30,11 +31,14 @@ from twocovers.curves import (
     CubicModel,
     CurveError,
     ECPoint,
+    _ec_add_unchecked,
     c_invariants,
     discriminant,
+    ec_neg,
     j_invariant,
     on_curve,
 )
+from twocovers.twists import census
 
 # frozen from tools/identity_oracle.py: coefficient c_i of the degree-12
 # model equals pairs[i][0] * A + pairs[i][1]
@@ -331,6 +335,14 @@ class TestOddCovers:
         Q = maps.twisted_image(2, F(1), F(-1), F(8))
         assert Q == ECPoint(F(1), F(1))
 
+    def test_pole_on_the_negative_sheet(self):
+        # t = -1 is the pole of u: (-1, 8) maps to (1, 1) and (-1, -8) to O,
+        # so g_i(-1, -8) = 2 O - (1, 1) = (1, -1)
+        maps = odd_covering_maps(F(-27))
+        for which in (1, 2):
+            assert maps.twisted_image(which, F(1), F(-1), F(-8)) == ECPoint(F(1), F(-1))
+            assert maps.twisted_image(which, F(4), F(-1), F(-16)) == ECPoint(F(4), F(-8))
+
     def test_twisted_points_on_twisted_curve(self):
         A = F(-27)
         maps = odd_covering_maps(A)
@@ -364,6 +376,63 @@ class TestOddCovers:
         with pytest.raises(CurveError, match="parity"):
             maps.twisted_image(1, d, F(-2), y0)
 
+    def test_wrong_parity_raises_where_conjugates_share_x(self, monkeypatch):
+        # a split with beta = 0, gamma = 0 and delta != 0 makes Rbar = -R, so
+        # R + Rbar = O; beta never vanishes for the covers built here
+        maps = odd_covering_maps(F(-27))
+        monkeypatch.setattr(constructions.CoveringMap, "sheet_split", lambda f, t0: (F(1), F(0), F(0), F(1)))
+        with pytest.raises(CurveError, match="parity"):
+            maps.twisted_image(1, F(-339), F(-2), F(-339 * 3))
+
+    def test_wrong_parity_raises_at_pole_and_weierstrass_point(self, monkeypatch):
+        # the two branches that add points over Q: t = -1, where u has a
+        # pole, and a point with y0 = 0
+        pole = (odd_covering_maps(F(-27)), F(-1), F(1), F(8))
+        weierstrass = (odd_covering_maps(_weierstrass_A(F(2))), F(2), F(5), F(0))
+        monkeypatch.setattr(constructions, "INFINITY_IMAGE", (F(1), F(-1)))
+        for maps, t0, d, y0 in (pole, weierstrass):
+            for which in (1, 2):
+                with pytest.raises(CurveError, match="parity"):
+                    maps.twisted_image(which, d, t0, y0)
+
+    def test_weierstrass_point_maps_to_zero(self):
+        # A chosen so that h(2) = 0: P = (2, 0) is fixed by the sheet
+        # involution, so 2 f_i(P) = (1, 1) and g_i(P) = O on every twist
+        t0 = F(2)
+        A = _weierstrass_A(t0)
+        maps = odd_covering_maps(A)
+        assert genus5_poly(A)(t0) == 0
+        for f, which in ((maps.f1, 1), (maps.f2, 2)):
+            R = f.evaluate(t0, F(0))
+            assert _ec_add_unchecked(f.target, R, R) == ECPoint(*INFINITY_IMAGE)
+            for d in (F(1), F(-3), F(5)):
+                assert maps.twisted_image(which, d, t0, F(0)) == ECPoint.zero()
+
+    @pytest.mark.parametrize("A", [F(-27), F(7, 2)], ids=["A=-27", "A=7/2"])
+    def test_images_match_definition_mod_p(self, A):
+        # each image against g_i(P) = 2 f_i(P) - (1, 1) at P = (t, y0/sqrt d),
+        # evaluated from the composite maps X, Y over F_p at a good prime p
+        # where d is a nonzero square: (x, y) on the d-twist reduces to
+        # (x/d, y sqrt d/d^2) on E
+        maps = odd_covering_maps(A)
+        E = maps.f1.target
+        checked = 0
+        for r in census(A, 6):
+            if r.d is None or r.status == "degenerate" or _rational_square(F(r.d)):
+                continue
+            y0 = r.d * r.s
+            for f, image in ((maps.f1, r.P1), (maps.f2, r.P2)):
+                p, root, to_fp = _good_prime(f, E, r.t, y0, r.d, image)
+                E_p = CubicModel(to_fp(E.a2), to_fp(E.a4), to_fp(E.a6))
+                t_p, w_p = to_fp(r.t), to_fp(y0) / root
+                R = ECPoint(f.X.map_coeffs(to_fp).evaluate(t_p, w_p), f.Y.map_coeffs(to_fp).evaluate(t_p, w_p))
+                T = ECPoint(*(to_fp(c) for c in INFINITY_IMAGE))
+                G = _ec_add_unchecked(E_p, _ec_add_unchecked(E_p, R, R), ec_neg(T))
+                d_p = to_fp(F(r.d))
+                assert G == ECPoint(to_fp(image.x) / d_p, to_fp(image.y) * root / (d_p * d_p)), (r.t, r.d, p)
+                checked += 1
+        assert checked >= 40
+
     def test_twisted_points_many_t(self):
         A = F(-27)
         maps = odd_covering_maps(A)
@@ -380,6 +449,38 @@ class TestOddCovers:
             P2 = maps.twisted_image(2, F(d), t0, y0)
             assert on_curve(Ed, P1)
             assert on_curve(Ed, P2)
+
+
+def _weierstrass_A(t0):
+    """The parameter A at which h(t0) = 0."""
+    return 64 * t0**3 * (t0 * t0 + t0 + 1) ** 3 / ((t0 + 1) ** 4 * (t0 * t0 + 1) ** 4)
+
+
+def _rational_square(c):
+    n, m = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
+    return n * n == c.numerator and m * m == c.denominator
+
+
+def _good_prime(f, E, t0, y0, d, image):
+    """(p, sqrt d mod p, reduction mod p) for the first prime p > 3 at which
+    E has good reduction, d is a nonzero square, t0, y0, d and the image are
+    p-integral and the composite maps have no pole at t0."""
+    values = [F(c) for c in (E.a2, E.a4, E.a6, t0, y0, d, image.x, image.y)]
+    disc = discriminant(E).numerator
+    for p in range(5, 1000):
+        if not is_prime(p) or disc % p == 0 or any(c.denominator % p == 0 for c in values):
+            continue
+
+        def to_fp(c, p=p):
+            return Fp(c.numerator, p) / c.denominator
+
+        d_p = to_fp(F(d))
+        root = next((Fp(v, p) for v in range(1, p) if Fp(v * v, p) == d_p), None)
+        t_p = to_fp(F(t0))
+        if root is None or not all(M.den.map_coeffs(to_fp)(t_p) for M in (f.X, f.Y)):
+            continue
+        return p, root, to_fp
+    raise AssertionError("no good prime below 1000")
 
 
 class TestTransport:

@@ -208,6 +208,14 @@ class TestCensus:
         elapsed = time.perf_counter() - start
         assert elapsed < 6.0, f"took {elapsed:.1f}s"
 
+    def test_height40_runtime(self):
+        # the census target at height 40; about 3.6 s here with the images
+        # computed over Q(sqrt d), about 2 s in rational arithmetic
+        start = time.perf_counter()
+        census(F(-27), 40)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
     def test_universal_records(self):
         recs = census(F(-27), 2)
         by_d = {r.d: r for r in recs}
