@@ -18,19 +18,6 @@ class AlgebraError(ValueError):
     pass
 
 
-class _Infinity:
-    """Projective infinity marker returned by pole-aware evaluation."""
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __bool__(self):
-        return True
-
-
-INFINITY = _Infinity()
-
-
 def _is_zero(c):
     return not c
 
@@ -645,147 +632,3 @@ def quadratic_character(a, q=None):
         return 1 if r == 1 else -1
     raise AlgebraError(f"unsupported element {a!r}")
 
-
-# ---------------------------------------------------------------------------
-# functions on a hyperelliptic curve, linear in the sheet coordinate
-
-
-def poly_order_at(f, t0):
-    """Vanishing order of f at t = t0, together with f/(t-t0)^order."""
-    if not f:
-        raise AlgebraError("zero polynomial has infinite order")
-    order = 0
-    while True:
-        q, rem = _div_linear(f, t0)
-        if rem:
-            return order, f
-        f = q
-        order += 1
-
-
-def _div_linear(f, t0):
-    """Synthetic division of f by (t - t0)."""
-    q = []
-    acc = None
-    for c in reversed(f.coeffs):
-        acc = c if acc is None else acc * t0 + c
-        q.append(acc)
-    rem = q.pop()
-    q.reverse()
-    return Poly(q), rem
-
-
-class WLinear:
-    """(a(t) + b(t) w) / den(t) on the curve w^2 = h(t).
-
-    The arithmetic stays in polynomial form (no gcd reduction); evaluation
-    resolves removable singularities through the conjugate and cancellation
-    of (t - t0) factors.
-    """
-
-    __slots__ = ("a", "b", "den", "h")
-
-    def __init__(self, a, b, den, h):
-        self.a = a
-        self.b = b
-        self.den = den
-        self.h = h
-
-    @classmethod
-    def lift_poly(cls, f, h, one=1):
-        zero = Poly([])
-        return cls(f if isinstance(f, Poly) else Poly([f * one]), zero, Poly([one * 1]), h)
-
-    @classmethod
-    def sheet(cls, h, one=1):
-        """The function w itself."""
-        return cls(Poly([]), Poly([one * 1]), Poly([one * 1]), h)
-
-    def _check(self, other):
-        if self.h != other.h:
-            raise AlgebraError("mismatched curve relations")
-
-    def __add__(self, other):
-        if not isinstance(other, WLinear):
-            other = WLinear.lift_poly(other if isinstance(other, Poly) else Poly([other]), self.h)
-        self._check(other)
-        return WLinear(
-            self.a * other.den + other.a * self.den,
-            self.b * other.den + other.b * self.den,
-            self.den * other.den,
-            self.h,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WLinear(-self.a, -self.b, self.den, self.h)
-
-    def __sub__(self, other):
-        if not isinstance(other, WLinear):
-            other = WLinear.lift_poly(other if isinstance(other, Poly) else Poly([other]), self.h)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, WLinear):
-            return WLinear(self.a * other, self.b * other, self.den, self.h)
-        self._check(other)
-        return WLinear(
-            self.a * other.a + self.b * other.b * self.h,
-            self.a * other.b + self.b * other.a,
-            self.den * other.den,
-            self.h,
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.a and not self.b
-
-    def map_coeffs(self, fn):
-        return WLinear(
-            self.a.map_coeffs(fn),
-            self.b.map_coeffs(fn),
-            self.den.map_coeffs(fn),
-            self.h.map_coeffs(fn),
-        )
-
-    def evaluate(self, t0, w0):
-        """Value at a curve point (t0, w0) with w0^2 = h(t0); INFINITY on a
-        genuine pole."""
-        a, b, den = self.a, self.b, self.den
-        while True:
-            dv = den(t0)
-            nv = a(t0) + b(t0) * w0
-            if dv:
-                return nv / dv
-            if nv:
-                return INFINITY
-            if not a and not b:
-                return nv  # the zero function
-            av = a(t0) if a else None
-            bv = b(t0) if b else None
-            if (av is None or not av) and (bv is None or not bv):
-                # polynomial common factor (t - t0) in a, b, den
-                a = _div_linear(a, t0)[0] if a else a
-                b = _div_linear(b, t0)[0] if b else b
-                den = _div_linear(den, t0)[0]
-                continue
-            # genuine sheet mixing: a(t0) = -b(t0) w0 with b(t0) != 0;
-            # rewrite as (a^2 - b^2 h) / (den (a - b w))
-            conj = a(t0) - b(t0) * w0
-            if not conj:
-                raise AlgebraError("unresolvable 0/0: common factor in map data")
-            num = a * a - b * b * self.h
-            if not num:
-                raise AlgebraError("zero/zero: numerator has norm zero")
-            aord, num = poly_order_at(num, t0)
-            bord, dred = poly_order_at(den, t0)
-            if aord < bord:
-                return INFINITY
-            if aord > bord:
-                return num(t0) * 0 / (dred(t0) * conj)
-            return num(t0) / (dred(t0) * conj)

@@ -94,9 +94,13 @@ def _int_list(text):
 
 def _prime_list(text):
     primes = _int_list(text)
+    if not primes:
+        raise argparse.ArgumentTypeError(f"no prime given: {text!r}")
     for p in primes:
         if p <= 3 or not is_prime(p):
             raise argparse.ArgumentTypeError(f"not a prime > 3: {p}")
+    if len(set(primes)) != len(primes):
+        raise argparse.ArgumentTypeError(f"repeated prime: {text!r}")
     return primes
 
 
@@ -199,6 +203,8 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     A, _ = _resolve_parameter(args)
+    if args.primes and len(args.primes) > 1:
+        raise UsageError("verify takes one prime (the independence check's)")
     p = args.primes[0] if args.primes else None
     reports = run_suite(A, p=p)
     _emit([_dumps(r.serialize()) for r in reports], args.out)

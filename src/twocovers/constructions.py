@@ -14,17 +14,17 @@ plus the space curve C : {y^2 = x^3 - Ax + B, x^2 + xz + z^2 = A} with its
 auxiliary cubic y^2 = x^3 - 27B x^2 + 27A^3 x.
 
 The two degree-3 covers H -> D are t -> x(t) = -(t^3-1)/(t^4-1) resp.
-z(t) = t x(t), with sheet coordinate scaled by (t-1)^2/(8 (t^4-1)^2); the
-composite into E goes through the Jacobian of the quartic D.
+z(t) = t x(t), with sheet coordinate scaled by (t-1)^2/(8 (t^4-1)^2); each
+cover H -> E is the composite H -> D -> E with the Jacobian map of D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
-from .algebra import INFINITY, Poly, WLinear
+from .algebra import Poly
 from .curves import (
     CubicModel,
     CurveError,
@@ -215,52 +215,69 @@ def plane_relation_poly():
 
 @dataclass(frozen=True)
 class CoveringMap:
-    """H -> E through D, with all coordinate data explicit.
+    """H -> E as the composite H -> D -> E of its two factors.
 
-    u, v: the map into the quartic model, (t, w) -> (u, v) with u = x(t) =
-    num/q and v = w/(8 q^2), q = t^3+t^2+t+1;
-    X, Y: the full composite coordinates on w^2 = h(t), each (a + b w)/den;
-    jacobian: the rescaled quartic-Jacobian map D -> E, so that
-    X = xa(u) + xb(u) v and Y = ya(u) + yb(u) v.
+    The cover into the quartic model D is (t, w) -> (u, v) = (num/q,
+    w/(8 q^2)) with q = t^3+t^2+t+1; jacobian is the rescaled quartic-Jacobian
+    map D -> E, (u, v) -> (xa(u) + xb(u) v, ya(u) + yb(u) v).  These factors
+    are both what verify_maps_on_curve proves and what evaluate computes.
     """
 
     name: str
     A: object
-    u: WLinear
-    v: WLinear
-    X: WLinear
-    Y: WLinear
+    num: Poly
+    q: Poly
     h: Poly
     target: CubicModel
     quartic: QuarticModel
     jacobian: QuarticJacobian
     degree_into_quartic: int = 3
 
-    def evaluate(self, t0, w0):
-        """Image on the target cubic of the curve point (t0, w0)."""
-        x = self.X.evaluate(t0, w0)
-        if x is INFINITY:
-            return ECPoint.zero()
-        y = self.Y.evaluate(t0, w0)
-        if y is INFINITY:
-            raise CurveError("inconsistent pole: finite x with infinite y")
-        return ECPoint(x, y)
+    def map_coeffs(self, fn):
+        """The same map with every coefficient sent through fn, e.g.
+        reduction mod p; raises CurveError if a model degenerates."""
+        return replace(
+            self,
+            A=fn(self.A),
+            num=self.num.map_coeffs(fn),
+            q=self.q.map_coeffs(fn),
+            h=self.h.map_coeffs(fn),
+            target=CubicModel(*map(fn, self.target.coefficients())),
+            quartic=QuarticModel(*map(fn, self.quartic.coefficients())),
+            jacobian=self.jacobian.map_coeffs(fn),
+        )
 
     def quartic_point(self, t0, w0):
-        x = self.u.evaluate(t0, w0)
-        if x is INFINITY:
+        """(u, v) on D of the curve point (t0, w0); None where q(t0) = 0."""
+        q0 = self.q(t0)
+        if not q0:
             return None
-        return (x, self.v.evaluate(t0, w0))
+        return self.num(t0) / q0, w0 / (8 * q0 * q0)
+
+    def evaluate(self, t0, w0):
+        """Image on the target cubic of the curve point (t0, w0).
+
+        Where q(t0) = 0, u has a pole and w0 = s 8 num(t0)^2 with s = +-1,
+        so v ~ s u^2: the point goes to the Jacobian's limit along the
+        branch v ~ +u^2 for s = 1 and to O for s = -1."""
+        point = self.quartic_point(t0, w0)
+        if point is not None:
+            return self.jacobian.apply(*point)
+        top = 8 * self.num(t0) ** 2
+        if w0 == top:
+            return ECPoint(*self.jacobian.infinity_image)
+        if w0 == -top:
+            return ECPoint.zero()
+        raise CurveError(f"({t0}, {w0}) is not a point of w^2 = h(t)")
 
     def sheet_split(self, t0):
         """(alpha, beta, gamma, delta) with f(t0, w) = (alpha + beta w,
         gamma + delta w) for both roots w of w^2 = h(t0); None where u has a
         pole (q(t0) = 0)."""
-        q0 = self.u.den(t0)
-        if not q0:
+        point = self.quartic_point(t0, 1)
+        if point is None:
             return None
-        u0 = self.u.a(t0) / q0
-        v1 = self.v.b(t0) / self.v.den(t0)
+        u0, v1 = point
         (xa, xb), (ya, yb) = self.jacobian.x_map, self.jacobian.y_map
         return xa(u0), xb(u0) * v1, ya(u0), yb(u0) * v1
 
@@ -276,41 +293,33 @@ def family_identity_residual(A, h):
 
 
 def covering_maps(A):
-    """The two degree-3 covers of the quartic, composed into E.
+    """The two degree-3 covers of the quartic, u = x(t) = -p/q for f1 and
+    u = z(t) = -t p/q for f2 (p = t^2+t+1, q = t^3+t^2+t+1), each followed by
+    the Jacobian map into E.
 
-    The sheet scaling w -> w (t-1)^2 / (8 (t^4-1)^2) = w / (8 q(t)^2) with
-    q = t^3+t^2+t+1 is re-validated against the defining identity at build
-    time rather than trusted.
+    The sheet scaling w -> w (t-1)^2 / (8 (t^4-1)^2) = w / (8 q(t)^2) is
+    re-validated against the defining identity at build time rather than
+    trusted.
     """
     fam = build_family(A)
     h = fam.H.f
     if family_identity_residual(A, h):
         raise CurveError(f"sheet-scaling identity fails for A = {A}")
 
-    one = Fraction(1)
-    t = Poly([Fraction(0), one])
+    t = Poly([Fraction(0), Fraction(1)])
     p = t * t + t + 1
     q = t**3 + t * t + t + 1
-    x_num, z_num = -p, -(t * p)
-    scale_den = 8 * q * q
 
     jac = quartic_jacobian(fam.D).rescaled(Fraction(3, 2))
     if jac.cubic != fam.E:
         raise CurveError("rescaled quartic Jacobian does not match the target cubic")
 
-    v = WLinear(Poly([]), Poly([one]), scale_den, h)
-    xa, xb = jac.x_map
-    ya, yb = jac.y_map
-
-    def composite(name, num):
-        u = WLinear(num, Poly([]), q, h)
-        X = xa(u) + xb(u) * v
-        Y = ya(u) + yb(u) * v
+    def cover(name, num):
         return CoveringMap(
-            name=name, A=A, u=u, v=v, X=X, Y=Y, h=h, target=fam.E, quartic=fam.D, jacobian=jac
+            name=name, A=A, num=num, q=q, h=h, target=fam.E, quartic=fam.D, jacobian=jac
         )
 
-    return composite("f1", x_num), composite("f2", z_num)
+    return cover("f1", -p), cover("f2", -(t * p))
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,9 @@ class QuarticJacobian:
     for monic quartics, the forward point map.
 
     The map data is a pair of (polynomial in u, coefficient of v) entries:
-    each coordinate is poly(u) + coeff * v on v^2 = quartic(u).
+    each coordinate is poly(u) + coeff * v on v^2 = quartic(u).  The map
+    extends to the two points at infinity of the quartic: the one on the
+    branch v ~ -u^2 goes to O, the one on v ~ +u^2 to infinity_image.
     """
 
     I: object
@@ -370,6 +372,7 @@ class QuarticJacobian:
     cubic: CubicModel
     x_map: tuple  # (Poly in u, v-coefficient Poly in u)
     y_map: tuple
+    infinity_image: tuple  # (x, y), the limit of the map along v ~ +u^2
 
     def apply(self, u, v):
         """Image of a quartic point (u, v) on the -27I/-27J cubic."""
@@ -379,6 +382,18 @@ class QuarticJacobian:
         y = ya(u) + yb(u) * v
         return ECPoint(x, y)
 
+    def _mapped(self, fx, fy):
+        """(x_map, y_map, infinity_image) with fx applied to every x-datum
+        and fy to every y-datum."""
+        xa, xb = self.x_map
+        ya, yb = self.y_map
+        x_inf, y_inf = self.infinity_image
+        return (
+            (xa.map_coeffs(fx), xb.map_coeffs(fx)),
+            (ya.map_coeffs(fy), yb.map_coeffs(fy)),
+            (fx(x_inf), fy(y_inf)),
+        )
+
     def rescaled(self, mu):
         """The model after (x, y) -> (x/mu^2, y/mu^3), with the composed map."""
         inv = _one_like(mu) / mu
@@ -387,11 +402,13 @@ class QuarticJacobian:
         i4 = i2 * i2
         i6 = i4 * i2
         cubic = CubicModel(self.cubic.a2 * i2, self.cubic.a4 * i4, self.cubic.a6 * i6)
-        xa, xb = self.x_map
-        ya, yb = self.y_map
-        x_map = (xa.map_coeffs(lambda c: c * i2), xb.map_coeffs(lambda c: c * i2))
-        y_map = (ya.map_coeffs(lambda c: c * i3), yb.map_coeffs(lambda c: c * i3))
-        return QuarticJacobian(self.I, self.J, cubic, x_map, y_map)
+        mapped = self._mapped(lambda c: c * i2, lambda c: c * i3)
+        return QuarticJacobian(self.I, self.J, cubic, *mapped)
+
+    def map_coeffs(self, fn):
+        """Every coefficient sent through fn, e.g. reduction mod p."""
+        cubic = CubicModel(*map(fn, self.cubic.coefficients()))
+        return QuarticJacobian(fn(self.I), fn(self.J), cubic, *self._mapped(fn, fn))
 
 
 def quartic_invariants(q):
@@ -422,7 +439,12 @@ def quartic_jacobian(q):
     y_r = (Poly([-d, -2 * c, -3 * b, -4 * one]), Poly([b, 4 * one]))
     x_map = (9 * x_r[0] + Poly([3 * c]), 9 * x_r[1])
     y_map = (27 * y_r[0], 27 * y_r[1])
-    return QuarticJacobian(I, J, cubic, x_map, y_map)
+    # along v = +sqrt(quartic) = u^2 + (b/2)u + s0 + s1/u + O(1/u^2) the
+    # resolvent point tends to (-2 s0, 4 s1 + b s0 - d)
+    s0 = Fraction(1, 8) * (4 * c - b * b)
+    s1 = Fraction(1, 16) * (8 * d - 4 * b * c + b**3)
+    infinity_image = (9 * (-2 * s0) + 3 * c, 27 * (4 * s1 + b * s0 - d))
+    return QuarticJacobian(I, J, cubic, x_map, y_map, infinity_image)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each check returns a report rather than raising: a failing identity carries
 its nonzero residual (or offending point) as the witness.  The symbolic
 checks run over the parameter rings Q[A] and Q[A,B]; specializations and
-finite-field spot checks complement them.
+finite-field spot checks complement them.  The covers H -> D -> E are proved
+through their factors: the cover into the quartic D and the Jacobian map
+D -> E each satisfy one small polynomial identity.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INFINITY, Poly, PrimeField, WLinear, reduce_mod_ideal
+from .algebra import Poly, PrimeField, reduce_mod_ideal
 from .constructions import (
     _times_param,
     covering_maps,
@@ -19,9 +21,10 @@ from .constructions import (
     genus2_poly,
     genus3_poly,
     genus5_poly,
-    parametrization_data,
     plane_relation_poly,
 )
+from .curves import CurveError
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -132,42 +135,66 @@ def verify_thm2(h_perturbation=None):
     return _report("thm2-model-identity", ok, witness)
 
 
-def _wl_times_param(f, s):
-    """Scalar multiplication of a sheet function by a base-ring element
-    (coefficient-wise; safe when the scalar is itself a Poly)."""
-    return WLinear(_times_param(f.a, s), _times_param(f.b, s), f.den, f.h)
+def _into_quartic_residual(f, extra):
+    """h - 64 extra^2 sum_i c_i num^i q^(4-i), with c_i the coefficients of
+    the quartic D: the zero polynomial exactly when (u, v) = (num/q,
+    w/(8 extra q^2)) lies on v^2 = D(u) at every point of w^2 = h(t)."""
+    acc = Poly([])
+    for i, c in enumerate(reversed(f.quartic.coefficients())):
+        if c:
+            acc = acc + _times_param(f.num**i * f.q ** (4 - i), c)
+    return f.h - 64 * extra * extra * acc
+
+
+def _jacobian_residual(jac, quartic, cubic):
+    """Y^2 - (X^3 + a2 X^2 + a4 X + a6) for (X, Y) the Jacobian map, as its
+    (even, odd) parts in v reduced modulo v^2 = quartic(u)."""
+    rel = quartic.rhs_poly()
+
+    def mul(P, R):
+        return (P[0] * R[0] + P[1] * R[1] * rel, P[0] * R[1] + P[1] * R[0])
+
+    def plus_const(P, c):
+        # c may itself be a Poly in A: lift it to a constant in u
+        return (P[0] + Poly([c]), P[1])
+
+    X, Y = jac.x_map, jac.y_map
+    rhs = mul(plus_const(mul(plus_const(X, cubic.a2), X), cubic.a4), X)
+    rhs = plus_const(rhs, cubic.a6)
+    Y2 = mul(Y, Y)
+    return Y2[0] - rhs[0], Y2[1] - rhs[1]
 
 
 def verify_maps_on_curve(A=None, corrupt_scale=False):
-    """Substituting either composite cover into the target Weierstrass
-    equation gives the zero function on w^2 = h(t).
+    """Both covers H -> D -> E land on E, proved as two exact identities:
+    each cover into D satisfies h = 64 sum_i c_i num^i q^(4-i) in Q[A][t],
+    so it lands on the quartic D, and the Jacobian map sends D to E,
+    Y^2 = X^3 + a2 X^2 + a4 X + a6 modulo v^2 = D(u).  Together they make
+    the composite satisfy the Weierstrass equation of E on w^2 = h(t).
 
     Runs over Q[A] when A is None.  corrupt_scale divides the sheet scaling
     by (t-1)^2 (i.e. uses the unreduced formula with that factor dropped),
-    which must break the identity.
+    which must break the first identity.
     """
     sym = A is None
     a = Poly.gen() if sym else Fraction(A)
     f1, f2 = covering_maps(a)
-    h = f1.h
-    bad = None
-    if corrupt_scale:
-        t = Poly([Fraction(0), Fraction(1)])
-        bad = (t - 1) ** 2
+    extra = (Poly.gen() - 1) ** 2 if corrupt_scale else 1
 
     for f in (f1, f2):
-        X, Y = f.X, f.Y
-        if bad is not None:
-            # dropping (t-1)^2 from the sheet scaling divides the odd parts
-            # by it: (a + b w)/den  ->  (a (t-1)^2 + b w)/(den (t-1)^2)
-            X = type(X)(X.a * bad, X.b, X.den * bad, X.h)
-            Y = type(Y)(Y.a * bad, Y.b, Y.den * bad, Y.h)
-        resid = Y * Y - X * X * X + _wl_times_param(X, a) - Poly([a])
-        if not resid.is_zero():
+        resid = _into_quartic_residual(f, extra)
+        if resid:
             return _report(
                 f"maps-on-curve[{f.name}]",
                 False,
-                f"nonzero residual, even part degree {resid.a.degree}, odd {resid.b.degree}",
+                f"cover into D: nonzero residual of degree {resid.degree}",
+            )
+        even, odd = _jacobian_residual(f.jacobian, f.quartic, f.target)
+        if even or odd:
+            return _report(
+                f"maps-on-curve[{f.name}]",
+                False,
+                f"Jacobian map: nonzero residual, even part degree {even.degree}, odd {odd.degree}",
             )
     return _report("maps-on-curve", True)
 
@@ -179,62 +206,41 @@ def verify_independence(A, p):
     (ii) the covers differ: some t has x(t) != z(t);
     (iii) they are not mutual negatives: some curve point has images that are
         not inverse to each other on E.
+    (ii) and (iii) run on the covers reduced mod p.
     """
     rel = plane_relation_poly()
     if rel.degree != 3 or rel.coeffs[3] != 1:
         return _report("independence", False, f"plane relation has degree {rel.degree}")
 
     field = PrimeField(p)
-    f1, f2 = covering_maps(Fraction(A))
 
     def to_fp(c):
         return field(Fraction(c))
 
-    h_p = f1.h.map_coeffs(to_fp)
-    if h_p.degree != 12:
+    maps = covering_maps(Fraction(A))
+    try:
+        g1, g2 = (f.map_coeffs(to_fp) for f in maps)
+    except CurveError:
         return _report("independence", False, f"p = {p} degenerates the model")
 
-    witness_ii = None
-    for tv in range(2, p):
-        t0 = field(tv)
-        xv = f1.u.a.map_coeffs(to_fp)(t0), f1.u.den.map_coeffs(to_fp)(t0)
-        zv = f2.u.a.map_coeffs(to_fp)(t0), f2.u.den.map_coeffs(to_fp)(t0)
-        if not xv[1] or not zv[1]:
-            continue
-        if xv[0] / xv[1] != zv[0] / zv[1]:
-            witness_ii = tv
-            break
-    if witness_ii is None:
+    # both covers share the denominator q of u
+    if not any(g1.q(t0) and g1.num(t0) != g2.num(t0) for t0 in map(field, range(2, p))):
         return _report("independence", False, "covers agree everywhere (unexpected)")
 
-    X1 = f1.X.map_coeffs(to_fp)
-    Y1 = f1.Y.map_coeffs(to_fp)
-    X2 = f2.X.map_coeffs(to_fp)
-    Y2 = f2.Y.map_coeffs(to_fp)
     sqrt_table = {}
     for v in field.elements():
         sqrt_table.setdefault((v * v).value, v)
     for tv in range(p):
         t0 = field(tv)
-        hv = h_p(t0)
+        hv = g1.h(t0)
         if not hv or hv.value not in sqrt_table:
             continue
         w0 = sqrt_table[hv.value]
-        vals = []
-        for Xc, Yc in ((X1, Y1), (X2, Y2)):
-            xv = Xc.evaluate(t0, w0)
-            if xv is INFINITY:
-                vals = None
-                break
-            vals.append((xv, Yc.evaluate(t0, w0)))
-        if vals is None:
+        P1, P2 = g1.evaluate(t0, w0), g2.evaluate(t0, w0)
+        if P1.infinity or P2.infinity:
             continue
-        (x1, y1), (x2, y2) = vals
-        if x1 != x2 or y1 != -y2:
-            return _report(
-                "independence",
-                True,
-            )
+        if P1.x != P2.x or P1.y != -P2.y:
+            return _report("independence", True)
     return _report("independence", False, f"f1 = -f2 at every point of F_{p}")
 
 
@@ -278,13 +284,15 @@ def verify_quotients(A=None):
 
 def run_suite(A, p=None):
     """The full verification battery for a concrete parameter A."""
-    from .zeta import is_good_prime
+    from .zeta import BadPrimeError, is_good_prime
 
     A = Fraction(A)
     if p is None:
         p = 101
         while not is_good_prime(A, p):
             p += 1
+    elif not is_good_prime(A, p):
+        raise BadPrimeError(f"p = {p} is a bad prime for A = {A}")
     reports = [
         verify_thm1(),
         verify_thm2(),

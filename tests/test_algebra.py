@@ -4,18 +4,15 @@ from fractions import Fraction as F
 import pytest
 
 from twocovers.algebra import (
-    INFINITY,
     AlgebraError,
     ExtField,
     Fp,
     Poly,
     PrimeField,
-    WLinear,
     find_irreducible,
     is_prime,
     poly_divmod,
     poly_gcd,
-    poly_order_at,
     quadratic_character,
     reduce_mod_ideal,
 )
@@ -279,61 +276,6 @@ class TestExtField:
         assert a * b == field(4)
 
 
-class TestWLinear:
-    @staticmethod
-    def _h():
-        # w^2 = t^3 + 1
-        return P(1, 0, 0, 1)
-
-    def test_mul_reduces_w_square(self):
-        h = self._h()
-        w = WLinear.sheet(h, one=F(1))
-        w2 = w * w
-        assert not w2.b
-        assert w2.a == h
-
-    def test_evaluate_direct(self):
-        h = self._h()
-        w = WLinear.sheet(h, one=F(1))
-        assert w.evaluate(F(2), F(3)) == 3  # 3^2 = 2^3 + 1
-
-    def test_evaluate_removable(self):
-        h = self._h()
-        # (t^2 - 4)/(t - 2) at t = 2 -> 4
-        f = WLinear(P(-4, 0, 1), P(0), P(-2, 1), h)
-        assert f.evaluate(F(2), F(3)) == 4
-
-    def test_evaluate_pole(self):
-        h = self._h()
-        f = WLinear(P(1), P(0), P(-2, 1), h)
-        assert f.evaluate(F(2), F(3)) is INFINITY
-
-    @pytest.mark.parametrize(
-        "num, den, value",
-        [
-            (P(0, 1), P(1, 1), F(1, 2)),  # t/(1+t)
-            (P(1), P(-1, 1), INFINITY),  # 1/(t-1)
-            (P(-1, 0, 1), P(-1, 1), 2),  # (t^2-1)/(t-1), removable
-            (P(-1, 1) * P(-1, 1), P(-1, 1), 0),  # (t-1)^2/(t-1), zero of higher order
-        ],
-        ids=["plain", "pole", "removable", "zero_of_higher_order"],
-    )
-    def test_evaluate_sheet_free(self, num, den, value):
-        # functions of t alone, at the point (1, 1) of w^2 = t^3
-        result = WLinear(num, P(0), den, P(0, 0, 0, 1)).evaluate(F(1), F(1))
-        if value is INFINITY:
-            assert result is INFINITY
-        else:
-            assert result == value
-
-    def test_evaluate_conjugate_case(self):
-        h = self._h()
-        # (w - 3)/(t - 2) at (2, 3): conjugate resolution
-        # (w - 3)(w + 3) = h - 9 = t^3 - 8 = (t-2)(t^2+2t+4), so value = 12/6 = 2
-        f = WLinear(P(-3), P(1), P(-2, 1), h)
-        assert f.evaluate(F(2), F(3)) == 2
-
-
 class TestIsPrime:
     def test_small(self):
         assert [n for n in range(2, 40) if is_prime(n)] == [
@@ -344,10 +286,3 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
 
-
-class TestPolyOrderAt:
-    def test_orders(self):
-        f = P(-1, 1) * P(-1, 1) * P(3, 1)
-        order, reduced = poly_order_at(f, F(1))
-        assert order == 2
-        assert reduced == P(3, 1)

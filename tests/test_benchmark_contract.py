@@ -45,3 +45,26 @@ def test_traced_census_records_every_cover_image():
     screened = [row for row in factored if row[-1] != "degenerate"]
     assert screened
     assert names.count("twists.screen") == len(screened)
+
+
+def test_traced_verify_records_every_check():
+    # the symbolic workload's per-layer metrics (verify.*_s and
+    # constructions.covering_maps_s) come from these spans
+    layers = _load_layers()
+    run = layers.traced_cli_run(["verify", "--j", "6912/5"], "t")
+    assert run.exit_code == 0
+    assert run.error is None
+    assert run.unrestored == []
+    names = [span["name"] for span in run.spans]
+    checks = (
+        "thm1",
+        "thm2",
+        "maps_on_curve_sym",
+        "maps_on_curve_A",
+        "independence",
+        "quotients_sym",
+        "quotients_A",
+    )
+    for check in checks:
+        assert names.count(f"verify.{check}") == 1, check
+    assert names.count("constructions.covering_maps") == 3

@@ -165,6 +165,29 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "args",
+        [
+            ["verify", "--A", "-27", "--primes", "5"],
+            ["verify", "--A", "-27", "--primes", "101,103"],
+            ["remarks", "--A", "-27", "--primes", ","],
+            ["remarks", "--A", "-27", "--primes", "7,7"],
+            ["zeta", "--A", "-27", "--curve", "E", "--primes", "7,11,7"],
+        ],
+        ids=["verify-bad-prime", "verify-two-primes", "empty-list", "remarks-repeat", "zeta-repeat"],
+    )
+    def test_bad_prime_list_exit_2(self, args, capsys):
+        # a bad prime for A is refused, not reported as a failed check, and
+        # an empty or repeated list is refused, not replaced or duplicated
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args",
         [[], ["zeta", "--A", "-27", "--curve", "E", "--bogus"], ["verify", "--j", "x"]]
         + [[command, "--A", "-27", flag, "7"] for command, flag in UNREAD_FLAGS],
         ids=["no-subcommand", "unknown-flag", "bad-j"]

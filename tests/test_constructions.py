@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from twocovers import constructions
-from twocovers.algebra import Fp, Poly, is_prime
+from twocovers.algebra import Fp, Poly, PrimeField, is_prime
 from twocovers.constructions import (
     INFINITY_IMAGE,
     ConstructionParams,
@@ -273,6 +273,33 @@ class TestCoveringMaps:
                 Q = f.evaluate(F(-1), F(-8))
                 assert Q == ECPoint.zero()
 
+    @pytest.mark.parametrize("p", [13, 17, 29])
+    def test_poles_over_fp(self, p):
+        # for p = 1 mod 4, q = (t+1)(t^2+1) vanishes at the roots of t^2 = -1;
+        # there h(t0) = 64 num(t0)^4, and of the two points (t0, +-8 num(t0)^2)
+        # one maps to O and the other to (1, 1)
+        field = PrimeField(p)
+        roots = [t0 for t0 in field.elements() if t0 * t0 == -1]
+        assert len(roots) == 2
+        for f in covering_maps(F(-27)):
+            g = f.map_coeffs(lambda c: field(F(c)))
+            for t0 in roots:
+                w0 = 8 * g.num(t0) ** 2
+                assert w0 and w0 * w0 == g.h(t0)
+                images = {g.evaluate(t0, w0), g.evaluate(t0, -w0)}
+                assert images == {ECPoint.zero(), ECPoint(field(1), field(1))}
+                for w in field.elements():
+                    if w not in (w0, -w0):
+                        with pytest.raises(CurveError, match="not a point"):
+                            g.evaluate(t0, w)
+
+    def test_pole_limit_is_the_infinity_image(self):
+        # the image of the pole on the branch v ~ +u^2 is derived from the
+        # coefficients of D; it must agree with the oracle's constant
+        for A in (F(-27), Poly.gen()):
+            for f in covering_maps(A):
+                assert f.jacobian.infinity_image == INFINITY_IMAGE
+
     def test_declared_degree(self):
         f1, f2 = covering_maps(F(-27))
         assert f1.degree_into_quartic == 3 == f2.degree_into_quartic
@@ -411,9 +438,9 @@ class TestOddCovers:
     @pytest.mark.parametrize("A", [F(-27), F(7, 2)], ids=["A=-27", "A=7/2"])
     def test_images_match_definition_mod_p(self, A):
         # each image against g_i(P) = 2 f_i(P) - (1, 1) at P = (t, y0/sqrt d),
-        # evaluated from the composite maps X, Y over F_p at a good prime p
-        # where d is a nonzero square: (x, y) on the d-twist reduces to
-        # (x/d, y sqrt d/d^2) on E
+        # with f_i(P) the Jacobian image of the quartic point of P, both
+        # factors reduced mod a good prime p where d is a nonzero square:
+        # (x, y) on the d-twist reduces to (x/d, y sqrt d/d^2) on E
         maps = odd_covering_maps(A)
         E = maps.f1.target
         checked = 0
@@ -423,9 +450,10 @@ class TestOddCovers:
             y0 = r.d * r.s
             for f, image in ((maps.f1, r.P1), (maps.f2, r.P2)):
                 p, root, to_fp = _good_prime(f, E, r.t, y0, r.d, image)
-                E_p = CubicModel(to_fp(E.a2), to_fp(E.a4), to_fp(E.a6))
+                g = f.map_coeffs(to_fp)
+                E_p = g.target
                 t_p, w_p = to_fp(r.t), to_fp(y0) / root
-                R = ECPoint(f.X.map_coeffs(to_fp).evaluate(t_p, w_p), f.Y.map_coeffs(to_fp).evaluate(t_p, w_p))
+                R = g.jacobian.apply(*g.quartic_point(t_p, w_p))
                 T = ECPoint(*(to_fp(c) for c in INFINITY_IMAGE))
                 G = _ec_add_unchecked(E_p, _ec_add_unchecked(E_p, R, R), ec_neg(T))
                 d_p = to_fp(F(r.d))
@@ -464,7 +492,7 @@ def _rational_square(c):
 def _good_prime(f, E, t0, y0, d, image):
     """(p, sqrt d mod p, reduction mod p) for the first prime p > 3 at which
     E has good reduction, d is a nonzero square, t0, y0, d and the image are
-    p-integral and the composite maps have no pole at t0."""
+    p-integral and u = num/q has no pole at t0."""
     values = [F(c) for c in (E.a2, E.a4, E.a6, t0, y0, d, image.x, image.y)]
     disc = discriminant(E).numerator
     for p in range(5, 1000):
@@ -477,7 +505,7 @@ def _good_prime(f, E, t0, y0, d, image):
         d_p = to_fp(F(d))
         root = next((Fp(v, p) for v in range(1, p) if Fp(v * v, p) == d_p), None)
         t_p = to_fp(F(t0))
-        if root is None or not all(M.den.map_coeffs(to_fp)(t_p) for M in (f.X, f.Y)):
+        if root is None or not f.q.map_coeffs(to_fp)(t_p):
             continue
         return p, root, to_fp
     raise AssertionError("no good prime below 1000")

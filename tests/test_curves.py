@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -264,6 +265,33 @@ class TestQuarticJacobian:
         resid = Y * Y - (X * X * X + a4 * X + a6)
         g = v3 * v3 - Poly([rhs_u])
         assert not reduce_mod_ideal(resid, g)
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 9), (2, -3, 5, 7), (F(-1, 2), 4, F(1, 3), 11)])
+    def test_infinity_image_is_the_limit_on_the_plus_branch(self, coeffs):
+        # the closed form against the map at u = 10^6 on v = +sqrt(quartic(u)),
+        # v rounded to 20 decimals, before and after rescaling; the limit
+        # lies on the cubic
+        b, c, d, e = (F(x) for x in coeffs)
+        q = QuarticModel(F(1), b, c, d, e)
+        u = F(10**6)
+        r = q.rhs(u)
+        v = F(math.isqrt(r.numerator * 10**40 // r.denominator), 10**20)
+        for jac in (quartic_jacobian(q), quartic_jacobian(q).rescaled(F(3, 2))):
+            x_inf, y_inf = jac.infinity_image
+            assert on_curve(jac.cubic, ECPoint(x_inf, y_inf))
+            P = jac.apply(u, v)
+            assert abs(P.x - x_inf) < F(1, 1000) and abs(P.y - y_inf) < F(1, 1000)
+
+    def test_map_coeffs_commutes_with_apply(self):
+        p = 101
+        field = PrimeField(p)
+        q = QuarticModel(F(1), F(1), F(0), F(0), F(9))
+        jac = quartic_jacobian(q).rescaled(F(3, 2))
+        red = jac.map_coeffs(lambda c: field(F(c)))
+        assert red.cubic == CubicModel(*(field(c) for c in jac.cubic.coefficients()))
+        assert red.infinity_image == tuple(field(c) for c in jac.infinity_image)
+        P = jac.apply(F(0), F(3))
+        assert red.apply(field(0), field(3)) == ECPoint(field(P.x), field(P.y))
 
 
 class TestGenus:

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction as F
 
+from twocovers import constructions
 from twocovers.algebra import PrimeField
 from twocovers.verify import (
     VerificationReport,
@@ -76,6 +78,20 @@ class TestMapsOnCurve:
         r = verify_maps_on_curve(F(-27), corrupt_scale=True)
         assert not r.passed
 
+    def test_perturbed_jacobian_fails(self, monkeypatch):
+        # one y-map coefficient of the Jacobian map D -> E off by one
+        original = constructions.quartic_jacobian
+
+        def perturbed(q):
+            jac = original(q)
+            ya, yb = jac.y_map
+            return dataclasses.replace(jac, y_map=(ya + 1, yb))
+
+        monkeypatch.setattr(constructions, "quartic_jacobian", perturbed)
+        for A in (None, F(-27)):
+            r = verify_maps_on_curve(A)
+            assert not r.passed and "Jacobian" in r.witness
+
 
 class TestIndependence:
     def test_A27_f101(self):
@@ -138,7 +154,6 @@ class TestSuite:
         # check the numeric identity at every point of F_p for small p
         from twocovers.constructions import covering_maps
         from twocovers.zeta import is_good_prime
-        from twocovers.algebra import INFINITY
 
         rng = random.Random(12)
         done = 0
@@ -150,19 +165,18 @@ class TestSuite:
             field = PrimeField(p)
             f1, _ = covering_maps(A)
             to_fp = lambda c: field(F(c))
-            X, Y = f1.X.map_coeffs(to_fp), f1.Y.map_coeffs(to_fp)
-            h = f1.h.map_coeffs(to_fp)
+            g = f1.map_coeffs(to_fp)
             Afp = field(A)
             for tv in range(p):
                 t0 = field(tv)
-                hv = h(t0)
+                hv = g.h(t0)
                 for wv in range(p):
                     w0 = field(wv)
                     if w0 * w0 != hv:
                         continue
-                    xv = X.evaluate(t0, w0)
-                    if xv is INFINITY:
+                    point = g.quartic_point(t0, w0)
+                    if point is None:
                         continue
-                    yv = Y.evaluate(t0, w0)
-                    assert yv * yv == xv**3 - Afp * xv + Afp
+                    P = g.jacobian.apply(*point)
+                    assert P.y * P.y == P.x**3 - Afp * P.x + Afp
             done += 1

@@ -108,6 +108,18 @@ def main():
     out["disc_quartic_D"] = str(sp.factor(sp.discriminant(x**4 + x**3 + B, x)))
     out["disc_h_factored"] = str(sp.factor(sp.discriminant(genus5_rhs(), x)))
 
+    # 12. each cover into the quartic D: v^2 = u^4 + u^3 + B at
+    #     (u, v) = (num/q, w/(8 q^2)) on w^2 = h(t), i.e.
+    #     h(t) = 64 (num^4 + num^3 q + B q^4) with B = A/64, for
+    #     num = -p (f1) and num = -t p (f2), p = t^2+t+1, q = t^3+t^2+t+1
+    pt = t**2 + t + 1
+    qt = t**3 + t**2 + t + 1
+    hz = genus5_rhs().subs(x, t)
+    out["cover_into_D_identities"] = {
+        name: sp.expand(hz - 64 * (num**4 + num**3 * qt + A / 64 * qt**4)) == 0
+        for name, num in (("f1", -pt), ("f2", -t * pt))
+    }
+
     print(json.dumps(out, indent=1))
 
 
