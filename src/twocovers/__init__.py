@@ -2,7 +2,7 @@
 an elliptic curve, with symbolic verification, zeta-function evidence for the
 Jacobian decompositions, and a bounded-height quadratic-twist census."""
 
-from .algebra import ExtField, Fp, Poly, PrimeField, Rational, quadratic_character
+from .algebra import Fp, Poly, PrimeField, Rational, quadratic_character
 from .constructions import (
     build_family,
     build_thm1,

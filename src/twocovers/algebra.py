@@ -1,14 +1,13 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are python Fractions (arbitrary precision), prime-field elements,
-or extension-field elements.  Polynomials are dense, generic over any of
-these coefficient rings, including nested Poly coefficients for parameter
-rings like Q[A][t] and Q[A,B][x][z].
+Scalars are python Fractions (arbitrary precision) or prime-field
+elements.  Polynomials are dense, generic over either coefficient ring,
+including nested Poly coefficients for parameter rings like Q[A][t] and
+Q[A,B][x][z].  F_{p^k} lives only in the point-count kernel (`counting`).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 Rational = Fraction
@@ -180,7 +179,7 @@ def is_prime(n):
 class Poly:
     """Dense univariate polynomial over a generic coefficient ring.
 
-    Coefficients may be Fraction, Fp, FqElement, or Poly (for nested
+    Coefficients may be Fraction, Fp, or Poly (for nested
     parameter rings).  Trailing zero coefficients are stripped; the zero
     polynomial has an empty coefficient list and degree -1.
 
@@ -382,253 +381,8 @@ def squarefree(f):
     return g.degree <= 0
 
 
-# ---------------------------------------------------------------------------
-# extension fields
-
-
-def find_irreducible(p, k, seed=0):
-    """Monic irreducible polynomial of degree k over F_p, deterministic for a
-    fixed seed.  Certified by the Rabin test: x^(p^k) == x mod g together
-    with gcd(x^(p^(k/l)) - x, g) = 1 for each prime l dividing k."""
-    if p <= 3 or k < 1:
-        raise AlgebraError(f"need p > 3 and k >= 1, got p={p}, k={k}")
-    field = PrimeField(p)
-    rng = random.Random(seed)
-    if k == 1:
-        return Poly([Fp(rng.randrange(p), p), field.one()])
-    prime_divs = sorted({d for d in range(2, k + 1) if k % d == 0 and is_prime(d)})
-    x = Poly([field.zero(), field.one()])
-    for _ in range(4096):
-        coeffs = [Fp(rng.randrange(p), p) for _ in range(k)]
-        if not coeffs[0]:
-            continue
-        g = Poly(coeffs + [field.one()])
-        fr = x
-        frob_steps = {}
-        for step in range(1, k + 1):
-            fr = _poly_powmod(fr, p, g)
-            frob_steps[step] = fr
-        if frob_steps[k] != x:
-            continue
-        if all(poly_gcd(frob_steps[k // l] - x, g).degree == 0 for l in prime_divs):
-            return g
-    raise AlgebraError(f"no irreducible of degree {k} over F_{p} found in 4096 tries")
-
-
-def _poly_powmod(base, e, modulus):
-    acc = None
-    b = poly_divmod(base, modulus)[1]
-    while e:
-        if e & 1:
-            acc = b if acc is None else poly_divmod(acc * b, modulus)[1]
-        e >>= 1
-        if e:
-            b = poly_divmod(b * b, modulus)[1]
-    if acc is None:
-        one = Fp(1, modulus.coeffs[-1].p) if isinstance(modulus.coeffs[-1], Fp) else Fraction(1)
-        return Poly([one])
-    return acc
-
-
-class ExtField:
-    """F_{p^k} presented as F_p[x]/(modulus)."""
-
-    def __init__(self, p, k, modulus=None, seed=0):
-        if p <= 3 or not is_prime(p):
-            raise AlgebraError(f"prime > 3 required, got {p}")
-        self.p = p
-        self.k = k
-        self.q = p**k
-        if modulus is None:
-            modulus = find_irreducible(p, k, seed)
-        if isinstance(modulus, Poly):
-            mod = tuple(c.value if isinstance(c, Fp) else int(c) % p for c in modulus.coeffs)
-        else:
-            mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != k + 1 or mod[-1] != 1:
-            raise AlgebraError("modulus must be monic of degree k")
-        self.modulus = mod
-        # reduction rows: x^(k+i) mod modulus, i = 0..k-2
-        rows = []
-        cur = [(-c) % p for c in mod[:k]]
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            cur = [(cur[j] + top * rows[0][j]) % p for j in range(k)]
-            rows.append(tuple(cur))
-        self._rows = rows
-
-    def __call__(self, coeffs):
-        if isinstance(coeffs, FqElement):
-            return coeffs
-        if isinstance(coeffs, int):
-            return FqElement(self, (coeffs % self.p,) + (0,) * (self.k - 1))
-        t = tuple(int(c) % self.p for c in coeffs)
-        if len(t) > self.k:
-            raise AlgebraError("residue degree too large")
-        return FqElement(self, t + (0,) * (self.k - len(t)))
-
-    def zero(self):
-        return self((0,))
-
-    def one(self):
-        return self((1,))
-
-    def elements(self):
-        for packed in range(self.q):
-            yield FqElement(self, self.unpack(packed))
-
-    def unpack(self, n):
-        digits = []
-        for _ in range(self.k):
-            n, r = divmod(n, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-    def pack(self, t):
-        n = 0
-        for d in reversed(t):
-            n = n * self.p + d
-        return n
-
-    def mul_tuples(self, a, b):
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:k]
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i] % p
-            if c:
-                row = self._rows[i - k]
-                for j in range(k):
-                    out[j] += c * row[j]
-        return tuple(v % p for v in out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __repr__(self):
-        return f"F_{self.p}^{self.k}"
-
-
-class FqElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, FqElement):
-            if other.field != self.field:
-                raise AlgebraError("mixed extension fields")
-            return other.coeffs
-        if isinstance(other, int):
-            return (other % self.field.p,) + (0,) * (self.field.k - 1)
-        if isinstance(other, Fp):
-            if other.p != self.field.p:
-                raise AlgebraError("mixed characteristics")
-            return (other.value,) + (0,) * (self.field.k - 1)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        return FqElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        return FqElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        p = self.field.p
-        return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.mul_tuples(self.coeffs, o))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = None
-        base = self
-        while n:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.field.one() if acc is None else acc
-
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * FqElement(self.field, o).inverse()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coeffs == o
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __repr__(self):
-        return f"Fq{self.coeffs}@{self.field!r}"
-
-
-def quadratic_character(a, q=None):
-    """0 for a = 0, +1 for a nonzero square, -1 otherwise, in a field of odd
-    size q (computed as a^((q-1)/2))."""
-    if isinstance(a, Fp):
-        if not a:
-            return 0
-        r = pow(a.value, (a.p - 1) // 2, a.p)
-        return 1 if r == 1 else -1
-    if isinstance(a, FqElement):
-        if not a:
-            return 0
-        r = a ** ((a.field.q - 1) // 2)
-        return 1 if r == a.field.one() else -1
-    if isinstance(a, int):
-        if q is None:
-            raise AlgebraError("field size q required for plain-int input")
-        a %= q
-        if a == 0:
-            return 0
-        r = pow(a, (q - 1) // 2, q)
-        return 1 if r == 1 else -1
-    raise AlgebraError(f"unsupported element {a!r}")
-
+def quadratic_character(a, p):
+    """The Legendre symbol (a/p) for an odd prime p: 0 when p | a, else +1
+    or -1 by Euler's criterion a^((p-1)/2)."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r

@@ -86,21 +86,24 @@ def _join_negative_fractions(argv):
 
 
 def _int_list(text):
+    """A nonempty list of distinct ints, with no empty item."""
+    items = text.split(",")
+    if "" in items:
+        raise argparse.ArgumentTypeError(f"empty item in list: {text!r}")
     try:
-        return [int(v) for v in text.split(",") if v]
+        values = [int(v) for v in items]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value: {text!r}")
+    return values
 
 
 def _prime_list(text):
     primes = _int_list(text)
-    if not primes:
-        raise argparse.ArgumentTypeError(f"no prime given: {text!r}")
     for p in primes:
         if p <= 3 or not is_prime(p):
             raise argparse.ArgumentTypeError(f"not a prime > 3: {p}")
-    if len(set(primes)) != len(primes):
-        raise argparse.ArgumentTypeError(f"repeated prime: {text!r}")
     return primes
 
 

@@ -1,12 +1,13 @@
 """Exhaustive point counts over F_{p^k} through exp/log tables.
 
-One kernel serves every field, k = 1 included.  A primitive element g of
-F_{p^k}^* gives two int32 tables over packed elements (base-p digits, the
-constant term as the top digit): exp[i] = g^i for 0 <= i < q - 1, and its
-inverse log.  Horner's rule runs over every x = g^i at once: multiplying acc
-by x is exp[(log[acc] + i) mod (q - 1)], with 0 kept as 0, and adding a
+F_{p^k} is F_p[x]/(g) for a primitive modulus g (`find_irreducible`): the
+class of x generates F_q^*, and it is the only F_{p^k} arithmetic here.  It
+gives two int32 tables over packed elements (base-p digits, the constant term
+as the top digit): exp[i] = x^i for 0 <= i < q - 1, and its inverse log.
+Horner's rule runs over every field element t = x^i at once: multiplying acc
+by t is exp[(log[acc] + i) mod (q - 1)], with 0 kept as 0, and adding a
 coefficient c of F_p adds c p^(k-1) mod q.  The quadratic character of a
-nonzero value is the parity of its log; x = 0 is counted on its own.
+nonzero value is the parity of its log; t = 0 is counted on its own.
 
 The tables take 8 bytes per field element: 3 MB at 13^5, 48 MB at the default
 budget of 6e6 elements.  Each count builds its field's tables and drops them
@@ -18,9 +19,10 @@ points never load it.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
-from .algebra import ExtField, Fp, find_irreducible, is_prime
+from .algebra import is_prime
 from .twists import factorize
 
 MAX_FIELD_SIZE = 6_000_000
@@ -36,27 +38,74 @@ class BadPrimeError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# the field modulus
+
+
+def _mulmod(a, b, g, p):
+    """a * b mod (g, p) for ascending int lists, g monic of degree k."""
+    k = len(g) - 1
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                c[i + j] += ai * bj
+    for i in range(len(c) - 1, k - 1, -1):
+        top = c[i] % p
+        if top:
+            for j in range(k):
+                c[i - k + j] -= top * g[j]
+    return [v % p for v in c[:k]]
+
+
+def _powmod(a, e, g, p):
+    acc = [1] + [0] * (len(g) - 2)
+    while e:
+        if e & 1:
+            acc = _mulmod(acc, a, g, p)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, g, p)
+    return acc
+
+
+def _x_is_primitive(g, p):
+    """True when x has order exactly q - 1 = p^k - 1 in R = F_p[x]/(g):
+    x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime r | q - 1.
+
+    This one test also proves g irreducible.  The powers of x are then q - 1
+    distinct units of R, and R has q elements, so every nonzero element of R
+    is a unit and R is a field."""
+    k = len(g) - 1
+    n = p**k - 1
+    one = [1] + [0] * (k - 1)
+    return _powmod([0, 1], n, g, p) == one and all(
+        _powmod([0, 1], n // r, g, p) != one for r in factorize(n)
+    )
+
+
+def find_irreducible(p, k, seed=0):
+    """A primitive monic degree-k polynomial g over F_p, as its ascending
+    coefficients: random monic g are drawn from the seeded RNG until
+    `_x_is_primitive` accepts one.  So g is irreducible, and x generates
+    F_{p^k}^*."""
+    if p <= 3 or not is_prime(p) or k < 1:
+        raise ValueError(f"need a prime p > 3 and k >= 1, got p={p}, k={k}")
+    rng = random.Random(seed)
+    while True:
+        g = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+        if g[0] and _x_is_primitive(g, p):
+            return g
+
+
 @lru_cache(maxsize=64)
 def field_modulus(p, k, seed=0):
-    """The monic degree-k irreducible over F_p used for all F_{p^k} work."""
-    g = find_irreducible(p, k, seed)
-    return tuple(c.value if isinstance(c, Fp) else int(c) % p for c in g.coeffs)
+    """The primitive modulus used for all F_{p^k} work."""
+    return find_irreducible(p, k, seed)
 
 
 # ---------------------------------------------------------------------------
 # field tables
-
-
-def _primitive_element(field):
-    """The first generator of F_q^* in packed order.  For k > 1 the search
-    starts at x: no element of F_p generates a proper extension's group."""
-    cofactors = [(field.q - 1) // r for r in factorize(field.q - 1)]
-    one = field.one()
-    for packed in range(2 if field.k == 1 else field.p, field.q):
-        g = field(field.unpack(packed))
-        if all(g**e != one for e in cofactors):
-            return g
-    raise AssertionError(f"{field!r} has no primitive element")
 
 
 def _tables(p, k, seed):
@@ -66,14 +115,15 @@ def _tables(p, k, seed):
     q = p**k
     if q > _INDEX_LIMIT:
         raise CountingBudgetError(f"field size {p}^{k} = {q} exceeds the int32 tables")
-    field = ExtField(p, k, modulus=field_modulus(p, k, seed))
+    g = field_modulus(p, k, seed)
     n = q - 1
-    g = _primitive_element(field)
-    # digits(a * g) = digits(a) @ step: row j holds the digits of g * x^j
-    step = np.array([field.mul_tuples(g.coeffs, field.unpack(p**j)) for j in range(k)])
+    # digits(a * x) = digits(a) @ step, the companion matrix of g: row j
+    # holds the digits of x^(j+1)
+    step = np.eye(k, k, 1, dtype=np.int64)
+    step[-1] = [-c % p for c in g[:k]]
     weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     m = min(n, _CHUNK)
-    # first block g^0 .. g^(m-1) by doubling; `power` ends as step^m whenever
+    # first block x^0 .. x^(m-1) by doubling; `power` ends as step^m whenever
     # a second block is needed (then m = _CHUNK, a power of two)
     block = np.zeros((1, k), dtype=np.int64)
     block[0, 0] = 1
@@ -97,7 +147,7 @@ def _tables(p, k, seed):
 
 
 def _horner(np, exp, log, coeffs, i, top):
-    """Packed f(g^i) for an int32 array of exponents i; coeffs ascending in
+    """Packed f(x^i) for an int32 array of exponents i; coeffs ascending in
     F_p, so each one is added to the top digit: c * top, then wrap mod q."""
     q = log.shape[0]
     acc = np.full(i.shape, coeffs[-1] * top, dtype=np.int32)
@@ -121,8 +171,8 @@ def _chi(np, log, values):
 
 
 def _characters(polys, p, k, seed):
-    """chi(f(x)) for each f in polys over every x in F_{p^k}, yielded chunk by
-    chunk: first x = 0, then x = g^i."""
+    """chi(f(t)) for each f in polys over every t in F_{p^k}, yielded chunk by
+    chunk: first t = 0, then t = x^i."""
     import numpy as np
 
     exp, log = _tables(p, k, seed)

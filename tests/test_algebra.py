@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,17 +6,16 @@ import pytest
 
 from twocovers.algebra import (
     AlgebraError,
-    ExtField,
     Fp,
     Poly,
     PrimeField,
-    find_irreducible,
     is_prime,
     poly_divmod,
     poly_gcd,
     quadratic_character,
     reduce_mod_ideal,
 )
+from twocovers.counting import _powmod, _tables, _x_is_primitive, find_irreducible
 
 
 def P(*coeffs):
@@ -183,25 +183,19 @@ class TestPrimeField:
 
 class TestQuadraticCharacter:
     def test_examples_mod_7(self):
-        f7 = PrimeField(7)
-        assert quadratic_character(f7(2)) == 1  # 3^2 = 2
+        assert quadratic_character(2, 7) == 1  # 3^2 = 2
         # squares mod 7 are {1, 2, 4}
-        assert {a for a in range(1, 7) if quadratic_character(Fp(a, 7)) == 1} == {1, 2, 4}
-        assert quadratic_character(f7(3)) == -1
-        assert quadratic_character(f7(0)) == 0
+        assert {a for a in range(1, 7) if quadratic_character(a, 7) == 1} == {1, 2, 4}
+        assert quadratic_character(-4, 7) == -1
+        assert quadratic_character(14, 7) == 0
 
     def test_multiplicative_all_small_fields(self):
-        fields = [PrimeField(p) for p in (5, 7, 11, 13)] + [ExtField(5, 2), ExtField(7, 2), ExtField(11, 2)]
-        for k in fields:
-            elems = list(k.elements())
-            q = getattr(k, "q", getattr(k, "p", None))
-            assert len(elems) == q
-            chi = {e: quadratic_character(e) for e in elems}
-            nonzero = [e for e in elems if e]
-            for a in nonzero:
-                for b in nonzero:
-                    assert chi[a * b] == chi[a] * chi[b]
-            assert sum(chi.values()) == 0
+        for p in (5, 7, 11, 13):
+            chi = [quadratic_character(a, p) for a in range(p)]
+            for a in range(1, p):
+                for b in range(1, p):
+                    assert chi[a * b % p] == chi[a] * chi[b]
+            assert sum(chi) == 0
 
     def test_int_interface(self):
         assert quadratic_character(2, 7) == 1
@@ -209,29 +203,36 @@ class TestQuadraticCharacter:
         assert quadratic_character(0, 7) == 0
 
 
+def _x_power(e, g, p):
+    """x^e mod (g, p) as an ascending int list."""
+    return _powmod([0, 1], e, g, p)
+
+
+def _ints(poly):
+    return tuple(c.value for c in poly.coeffs)
+
+
 class TestFindIrreducible:
+    """counting.find_irreducible: a primitive modulus, certified by the order
+    of x alone."""
+
     def test_degree_one(self):
         g = find_irreducible(7, 1, seed=3)
-        assert g.degree == 1 and g.is_monic()
+        assert len(g) == 2 and g[-1] == 1
+        assert -g[0] % 7 in (3, 5)  # the primitive roots mod 7
 
     def test_f25_modulus_irreducible(self):
         g = find_irreducible(5, 2, seed=0)
-        assert g.degree == 2 and g.is_monic()
+        assert len(g) == 3 and g[-1] == 1
         # no root in F_5
         for v in range(5):
-            assert g(Fp(v, 5))
-
-    def test_known_irreducible_accepted(self):
-        # x^2 + 2 over F_5: 2 is a non-square mod 5 ({1,4} are the squares)
-        assert {v * v % 5 for v in range(1, 5)} == {1, 4}
-        f = ExtField(5, 2, modulus=(2, 0, 1))
-        assert f.q == 25
+            assert sum(c * v**i for i, c in enumerate(g)) % 5
 
     def test_f49_no_roots(self):
         for seed in range(4):
             g = find_irreducible(7, 2, seed=seed)
             for v in range(7):
-                assert g(Fp(v, 7))
+                assert sum(c * v**i for i, c in enumerate(g)) % 7
 
     def test_deterministic(self):
         a = find_irreducible(13, 5, seed=0)
@@ -239,41 +240,47 @@ class TestFindIrreducible:
         assert a == b
 
     def test_degree_six_rejects_split_products(self):
-        # the Rabin gcd condition matters at k = 6: a product of irreducibles
-        # of degrees 1, 2, 3 passes the plain x^(p^(k/l)) != x check
+        # (x - 1)(x^2 + 1)(x^3 - 2) over F_7, irreducible factors of degrees
+        # 1, 2, 3, passes x^(p^6) = x, the first half of Rabin's test; only
+        # its gcd step, or the order of x, rejects it
+        f7 = PrimeField(7)
+        quadratic = Poly([f7(1), f7(0), f7(1)])
+        cubic = Poly([f7(-2), f7(0), f7(0), f7(1)])
+        for factor in (quadratic, cubic):
+            assert all(factor(f7(v)) for v in range(7))
+        g = _ints(Poly([f7(-1), f7(1)]) * quadratic * cubic)
+        assert len(g) == 7
+        assert _x_power(7**6, g, 7) == [0, 1, 0, 0, 0, 0]
+        assert not _x_is_primitive(g, 7)
+        # the modulus actually drawn is irreducible: x^(p^6) = x, and no
+        # proper subfield F_{p^3}, F_{p^2} contains x
         g = find_irreducible(7, 6, seed=0)
-        f = ExtField(7, 6, modulus=g)
-        x = f((0, 1))
-        assert x ** (7**6) == x
-        assert x ** (7**3) != x
-        assert x ** (7**2) != x
+        assert _x_power(7**6, g, 7) == [0, 1, 0, 0, 0, 0]
+        assert _x_power(7**3, g, 7) != [0, 1, 0, 0, 0, 0]
+        assert _x_power(7**2, g, 7) != [0, 1, 0, 0, 0, 0]
 
+    def test_irreducible_but_not_primitive_rejected(self):
+        # x^2 + 1 is irreducible over F_7 (-1 is a non-square), but x has
+        # order 4, not 48
+        assert quadratic_character(-1, 7) == -1
+        g = (1, 0, 1)
+        assert _x_power(4, g, 7) == [1, 0]
+        assert not _x_is_primitive(g, 7)
 
-class TestExtField:
-    def test_frobenius_identity_exhaustive(self):
-        for p, k in ((5, 2), (5, 3), (7, 2), (7, 3), (11, 2)):
-            field = ExtField(p, k)
-            if field.q > 343 and (p, k) != (11, 2):
-                continue
-            for e in field.elements():
-                assert e ** field.q == e
+    def test_split_quadratic_rejected(self):
+        # (x - 1)(x - 2) = x^2 - 3x + 2: x^48 = 1 there, as 1 and 2 have
+        # orders dividing 48; the cofactor 48/2 catches it
+        g = (2, 4, 1)
+        assert _x_power(48, g, 7) == [1, 0]
+        assert not _x_is_primitive(g, 7)
 
-    def test_inverse(self):
-        field = ExtField(7, 3)
-        for e in field.elements():
-            if e:
-                assert e * e.inverse() == field.one()
-
-    def test_pack_unpack_roundtrip(self):
-        field = ExtField(5, 3)
-        for n in range(field.q):
-            assert field.pack(field.unpack(n)) == n
-
-    def test_subfield_embedding(self):
-        field = ExtField(7, 2)
-        a, b = field(3), field(6)
-        assert a + b == field(2)
-        assert a * b == field(4)
+    def test_exp_table_hits_every_nonzero_element_once(self):
+        # x generates F_q^* under every drawn modulus
+        fields = ((5, 1), (7, 1), (5, 2), (7, 2), (5, 3), (7, 3), (11, 2), (5, 4))
+        for (p, k), seed in itertools.product(fields, range(3)):
+            exp, log = _tables(p, k, seed)
+            assert sorted(exp.tolist()) == list(range(1, p**k)), (p, k, seed)
+            assert log[exp].tolist() == list(range(p**k - 1)), (p, k, seed)
 
 
 class TestIsPrime:

@@ -144,6 +144,11 @@ class TestInputValidation:
             ["twists", "--A", "-27", "--height", "0"],
             ["twists", "--A", "-27", "--height", "-3"],
             ["growth", "--A", "-27", "--grid", "1"],
+            # an empty grid is refused, not replaced by the default, and a
+            # repeated X is refused, not printed twice
+            ["growth", "--A", "-27", "--grid", ","],
+            ["growth", "--A", "-27", "--grid", ""],
+            ["growth", "--A", "-27", "--grid", "10,10"],
         ],
         ids=[
             "zeta-composite-prime",
@@ -153,6 +158,9 @@ class TestInputValidation:
             "zero-height",
             "negative-height",
             "grid-at-1",
+            "grid-empty",
+            "grid-blank",
+            "grid-repeat",
         ],
     )
     def test_bad_counting_input_exit_2(self, args, capsys):
@@ -171,12 +179,23 @@ class TestInputValidation:
             ["remarks", "--A", "-27", "--primes", ","],
             ["remarks", "--A", "-27", "--primes", "7,7"],
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "7,11,7"],
+            ["remarks", "--A", "-27", "--primes", "7,,11"],
+            ["zeta", "--A", "-27", "--curve", "E", "--primes", "7,"],
         ],
-        ids=["verify-bad-prime", "verify-two-primes", "empty-list", "remarks-repeat", "zeta-repeat"],
+        ids=[
+            "verify-bad-prime",
+            "verify-two-primes",
+            "empty-list",
+            "remarks-repeat",
+            "zeta-repeat",
+            "empty-item",
+            "trailing-comma",
+        ],
     )
     def test_bad_prime_list_exit_2(self, args, capsys):
         # a bad prime for A is refused, not reported as a failed check, and
-        # an empty or repeated list is refused, not replaced or duplicated
+        # an empty or repeated list, or an empty item, is refused, not
+        # replaced, duplicated or skipped
         try:
             code = main(args)
         except SystemExit as exc:
@@ -295,6 +314,22 @@ class TestDeterminism:
             _, out1, _ = run_cli(case, capsys)
             _, out2, _ = run_cli(case, capsys)
             assert out1 == out2, case
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["zeta", "--A", "-27", "--curve", "H2", "--primes", "7,11,13"],
+            ["remarks", "--A", "-27", "--B", "1", "--primes", "7"],
+        ],
+        ids=["zeta", "remarks"],
+    )
+    def test_stdout_independent_of_seed(self, args, capsys):
+        # --seed picks the presentation of each F_{p^k}; the counts, and so
+        # every byte of output, are intrinsic
+        runs = [run_cli(args + ["--seed", str(seed)], capsys) for seed in (0, 1, 2)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "family.json"
