@@ -148,18 +148,29 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+# psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)): the least strong
+# pseudoprime to all 13 prime bases 2..41.  Below it the test is exact;
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441 already
+# passes the bases 2..37.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Deterministic Miller-Rabin to the bases 2..41.  A witness proves n
+    composite at any size; n that passes every base is prime below
+    MILLER_RABIN_BOUND (about 3.3e24), and at or above it ValueError is raised
+    instead of an unproven answer."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -169,6 +180,10 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"{n} passes every base but is beyond the deterministic primality range (< {MILLER_RABIN_BOUND})"
+        )
     return True
 
 

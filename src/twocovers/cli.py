@@ -26,6 +26,7 @@ from .curves import CurveError, model_to_obj
 from .twists import (
     CENSUS_HEADER,
     GROWTH_HEADER,
+    TRIAL_DIVISION_BOUND,
     census,
     growth_table,
     record_to_tsv,
@@ -102,7 +103,11 @@ def _int_list(text):
 def _prime_list(text):
     primes = _int_list(text)
     for p in primes:
-        if p <= 3 or not is_prime(p):
+        try:
+            prime = p > 3 and is_prime(p)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not prime:
             raise argparse.ArgumentTypeError(f"not a prime > 3: {p}")
     return primes
 
@@ -122,6 +127,14 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {n}")
+    return n
+
+
+def _height(text):
+    # the census relies on every prime <= height being stripped before rho
+    n = _positive_int(text)
+    if n > TRIAL_DIVISION_BOUND:
+        raise argparse.ArgumentTypeError(f"must be at most {TRIAL_DIVISION_BOUND}: {n}")
     return n
 
 
@@ -340,12 +353,12 @@ def build_parser():
 
     p = sub.add_parser("twists", help="bounded-height twist census as TSV")
     common(p)
-    p.add_argument("--height", type=_positive_int, default=25)
+    p.add_argument("--height", type=_height, default=25)
     p.set_defaults(fn=cmd_twists)
 
     p = sub.add_parser("growth", help="census growth table as TSV")
     common(p)
-    p.add_argument("--height", type=_positive_int, default=25)
+    p.add_argument("--height", type=_height, default=25)
     p.add_argument("--grid", type=_grid_list, help="comma-separated X values > 1")
     p.set_defaults(fn=cmd_growth)
 

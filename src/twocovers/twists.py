@@ -41,7 +41,8 @@ class UnfactoredError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer factoring: trial division, then Brent's cycle-finding rho
+# integer factoring: one gcd against the small primes, then Brent's
+# cycle-finding rho
 
 
 def _small_primes(limit=TRIAL_DIVISION_BOUND):
@@ -54,6 +55,30 @@ def _small_primes(limit=TRIAL_DIVISION_BOUND):
 
 
 _SMALL_PRIMES = _small_primes()
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
+def _strip_small_primes(n):
+    """(exponents, c) for n > 0: the exponent of each prime <= TRIAL_DIVISION_BOUND
+    that divides n, in increasing order, and the cofactor c with no such prime
+    factor.  One gcd with the product of those primes gives the squarefree g
+    whose primes divide n; only g is trial-divided."""
+    exponents = {}
+    g = math.gcd(n, _SMALL_PRIMES_PRODUCT)
+    primes = iter(_SMALL_PRIMES)
+    while g > 1:
+        p = next(primes)
+        if p * p > g:
+            p = g  # g is squarefree, so what is left of it is one prime
+        if g % p:
+            continue
+        g //= p
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        exponents[p] = e
+    return exponents, n
 
 
 def _pollard_brent(n, budget):
@@ -91,23 +116,21 @@ def _pollard_brent(n, budget):
 
 def factorize(n, rho_budget=RHO_ITERATION_BUDGET):
     """Prime factorization of |n| as a dict; raises UnfactoredError past the
-    trial-division/rho budget."""
+    rho budget or on a cofactor beyond the exact range of is_prime."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    out = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+    out, c = _strip_small_primes(n)
+    stack = [c] if c > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        try:
+            prime = is_prime(m)
+        except ValueError as exc:
+            raise UnfactoredError(f"cannot certify the factors of {m}: {exc}") from exc
+        if prime:
             out[m] = out.get(m, 0) + 1
             continue
         f = _pollard_brent(m, rho_budget)
@@ -265,27 +288,39 @@ def census(A, height_bound):
     Iterates t of height <= height_bound (skipping zeros of the degree-12
     polynomial), keeps the smallest-height t per d (ties broken by t), maps
     each through both odd covers, and screens the resulting pair.
+
+    h is a palindrome, t^12 h(1/t) = h(t), so t and 1/t have the same height
+    and the same d, and only the smaller of the two can be kept.  Each pair
+    is therefore factored once, at its member in (-oo, -1] or [0, 1].
     """
     A = Fraction(A)
-    if height_bound < 1:
-        raise ValueError("height bound must be >= 1")
+    if not 1 <= height_bound <= TRIAL_DIVISION_BOUND:
+        raise ValueError(f"height bound must be in [1, {TRIAL_DIVISION_BOUND}]: {height_bound}")
+    maps = odd_covering_maps(A)
     h = genus5_poly(A)
+    if h.coeffs != h.coeffs[::-1]:
+        raise CurveError(f"h(t) is not a palindrome at A = {A}, so t and 1/t need not share d")
     best = {}  # d -> (height, t, s)
     unfactored = []
     for t in _enumerate_heights(height_bound):
+        if t > 1 or -1 < t < 0:
+            continue  # factored as the partner of 1/t
         v = h(t)
         if not v:
             continue
         try:
             d, s = squarefree_part(v)
         except UnfactoredError:
-            unfactored.append(TwistRecord(t=t, d=None, s=None, P1=None, P2=None, status=STATUS_UNFACTORED))
+            # h(1/t) = h(t) (b/a)^12 for t = a/b: the two differ only in
+            # primes <= height_bound <= TRIAL_DIVISION_BOUND, which are
+            # stripped first, so 1/t leaves the same unfactored cofactor
+            for u in (t,) if t in (0, 1, -1) else (t, 1 / t):
+                unfactored.append(TwistRecord(t=u, d=None, s=None, P1=None, P2=None, status=STATUS_UNFACTORED))
             continue
         key = (max(abs(t.numerator), t.denominator), t)
         if d not in best or key < best[d][:2]:
             best[d] = (key[0], t, s)
 
-    maps = odd_covering_maps(A)
     records = []
     for d in sorted(best, key=lambda d: (abs(d), d)):
         _, t, s = best[d]

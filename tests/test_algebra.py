@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from twocovers.algebra import (
+    MILLER_RABIN_BOUND,
     AlgebraError,
     Fp,
     Poly,
@@ -292,4 +293,27 @@ class TestIsPrime:
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        # psi_12 = 399165290221 * 798330580441 passes the bases 2..37; base 41
+        # exposes it (Sorenson and Webster, Math. Comp. 86 (2017))
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+        assert is_prime(MILLER_RABIN_BOUND - 168)  # the largest prime below psi_13
+
+    @pytest.mark.parametrize("n", [MILLER_RABIN_BOUND, 2**89 - 1])
+    def test_beyond_deterministic_range_raises(self, n):
+        # psi_13 and the Mersenne prime 2^89 - 1 pass all 13 bases; at this
+        # size that does not prove them prime
+        assert MILLER_RABIN_BOUND == 3317044064679887385961981
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            is_prime(n)
+
+    @pytest.mark.parametrize(
+        "n", [MILLER_RABIN_BOUND + 2, 318665857834031151167461 * 10007, (2**89 - 1) * (2**61 - 1)]
+    )
+    def test_witness_proves_composite_beyond_range(self, n):
+        assert n > MILLER_RABIN_BOUND
+        assert not is_prime(n)
 

@@ -143,6 +143,7 @@ class TestInputValidation:
             ["verify", "--j", "6912/5", "--primes", "4"],
             ["twists", "--A", "-27", "--height", "0"],
             ["twists", "--A", "-27", "--height", "-3"],
+            ["growth", "--A", "-27", "--height", "10001"],
             ["growth", "--A", "-27", "--grid", "1"],
             # an empty grid is refused, not replaced by the default, and a
             # repeated X is refused, not printed twice
@@ -157,6 +158,7 @@ class TestInputValidation:
             "verify-composite-prime",
             "zero-height",
             "negative-height",
+            "height-above-trial-division-bound",
             "grid-at-1",
             "grid-empty",
             "grid-blank",
@@ -181,6 +183,8 @@ class TestInputValidation:
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "7,11,7"],
             ["remarks", "--A", "-27", "--primes", "7,,11"],
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "7,"],
+            ["zeta", "--A", "-27", "--curve", "E", "--primes", "318665857834031151167461"],
+            ["remarks", "--A", "-27", "--primes", "7,3317044064679887385961981"],
         ],
         ids=[
             "verify-bad-prime",
@@ -190,6 +194,8 @@ class TestInputValidation:
             "zeta-repeat",
             "empty-item",
             "trailing-comma",
+            "pseudoprime",
+            "beyond-primality-range",
         ],
     )
     def test_bad_prime_list_exit_2(self, args, capsys):
@@ -204,6 +210,22 @@ class TestInputValidation:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "prime, message",
+        [
+            # psi_12, a strong pseudoprime to the bases 2..37, is refused as
+            # composite, not by the field-size budget
+            ("318665857834031151167461", "not a prime > 3"),
+            ("3317044064679887385961981", "deterministic primality range"),
+        ],
+        ids=["pseudoprime", "beyond-primality-range"],
+    )
+    def test_prime_check_refuses_huge_primes_by_name(self, prime, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--A", "-27", "--curve", "E", "--primes", prime])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",

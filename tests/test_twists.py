@@ -6,12 +6,15 @@ from fractions import Fraction as F
 import pytest
 
 from twocovers import twists
+from twocovers.algebra import MILLER_RABIN_BOUND, Poly
 from twocovers.constructions import genus5_poly, odd_covering_maps
-from twocovers.curves import CubicModel, ECPoint, ec_add, ec_neg, ec_scalar, on_curve
+from twocovers.curves import CubicModel, CurveError, ECPoint, ec_add, ec_neg, ec_scalar, on_curve
 from twocovers.twists import (
     STATUS_DEGENERATE,
     STATUS_DEPENDENT,
     STATUS_INDEPENDENT,
+    STATUS_UNFACTORED,
+    TRIAL_DIVISION_BOUND,
     CENSUS_HEADER,
     CensusSummary,
     TwistRecord,
@@ -52,6 +55,31 @@ class TestFactorize:
         f = factorize(p * q)
         assert f == {p: 1, q: 1}
 
+    def test_strong_pseudoprime_to_bases_up_to_37_is_split(self):
+        # psi_12 passes Miller-Rabin to the bases 2..37; before base 41 was
+        # added it came back as a prime
+        assert factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+    def test_composite_cofactor_beyond_primality_range_is_split(self):
+        # 10007 is above the trial-division bound, so rho gets the whole
+        # product; a Miller-Rabin witness proves it composite at any size
+        n = 399165290221 * 798330580441 * 10007
+        assert n > MILLER_RABIN_BOUND
+        assert factorize(n) == {10007: 1, 399165290221: 1, 798330580441: 1}
+
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 6 * 3317044064679887385961981])
+    def test_cofactor_beyond_primality_range_is_unfactored(self, n):
+        with pytest.raises(UnfactoredError):
+            factorize(n)
+
+    def test_small_prime_strip(self):
+        n = 2**5 * 3 * 9973**2 * 10007
+        assert twists._strip_small_primes(n) == ({2: 5, 3: 1, 9973: 2}, 10007)
+        # the gcd is 2 * 9973: its last prime is read off once p^2 exceeds it
+        assert twists._strip_small_primes(2 * 9973) == ({2: 1, 9973: 1}, 1)
+        assert twists._strip_small_primes(10007 * 10009) == ({}, 10007 * 10009)
+        assert twists._strip_small_primes(1) == ({}, 1)
+
 
 class TestSquarefreePart:
     def test_examples(self):
@@ -74,6 +102,75 @@ class TestSquarefreePart:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_part(F(0))
+
+
+# primes just above the trial-division bound B = 10^4, so that they reach
+# the cofactor left after the small-prime strip
+Q, R, S = 10007, 10009, 10037
+
+
+class TestLargePrimeCofactors:
+    """squarefree_part on values whose cofactor, after the primes <= B are
+    stripped, is a prime, q r, q^2, q r s or q^2 r with primes above B."""
+
+    def test_primes_above_bound(self):
+        assert TRIAL_DIVISION_BOUND == 10_000 < min(Q, R, S)
+        assert all(twists.is_prime(p) for p in (Q, R, S, 99999989))
+
+    @pytest.mark.parametrize(
+        "v, expected",
+        [
+            (F(Q), (Q, 1)),
+            (F(99999989), (99999989, 1)),
+            (F(-12 * Q, 5), (-15 * Q, F(2, 5))),
+            (F(Q * R), (Q * R, 1)),
+            (F(-8 * Q * R), (-2 * Q * R, 2)),
+            (F(Q * Q), (1, Q)),
+            (F(3 * Q * Q, 4), (3, F(Q, 2))),
+            (F(-7, Q * Q), (-7, F(1, Q))),
+            (F(Q * R * S), (Q * R * S, 1)),
+            (F(-2 * Q * Q * R), (-2 * R, Q)),
+            (F(R, Q * Q * 9), (R, F(1, 3 * Q))),
+        ],
+        ids=[
+            "prime",
+            "prime-below-b-squared",
+            "prime-times-small",
+            "q-r",
+            "q-r-times-small",
+            "q-squared",
+            "q-squared-over-small",
+            "small-over-q-squared",
+            "q-r-s",
+            "q-squared-r",
+            "r-over-q-squared",
+        ],
+    )
+    def test_cases(self, v, expected):
+        assert squarefree_part(v) == expected
+
+    def test_random_products(self):
+        # d is read off the exponents the product was built from
+        rng = random.Random(13)
+        small = twists._SMALL_PRIMES[:40] + twists._SMALL_PRIMES[-5:]
+        large = [Q, R, S, 99991, 1000003, 99999989]
+        for _ in range(500):
+            parts, exponents = [1, 1], {}  # numerator, denominator
+            cofactor = 1  # kept below the exact range of is_prime
+            for pool, count in ((small, rng.randint(0, 4)), (large, rng.randint(0, 3))):
+                for _ in range(count):
+                    p, e = rng.choice(pool), rng.randint(1, 3)
+                    if pool is large:
+                        if cofactor * p**e >= MILLER_RABIN_BOUND:
+                            continue
+                        cofactor *= p**e
+                    parts[rng.randint(0, 1)] *= p**e
+                    exponents[p] = exponents.get(p, 0) + e
+            sign = rng.choice((-1, 1))
+            v = F(sign * parts[0], parts[1])
+            d, s = squarefree_part(v)
+            assert d == sign * math.prod(p for p, e in exponents.items() if e % 2), v
+            assert d * s * s == v and s > 0
 
 
 class TestIndependenceScreen:
@@ -267,6 +364,107 @@ class TestCensus:
                     if v:
                         d2, _ = squarefree_part(v)
                         assert d2 != r.d
+
+
+def _reference_census(A, height_bound):
+    """The census dedup without the pair skip: every t is factored.  Returns
+    {d: (t, s)} and the unfactored t in (height, t) order."""
+    h = genus5_poly(A)
+    best, unfactored = {}, []
+    for t in twists._enumerate_heights(height_bound):
+        v = h(t)
+        if not v:
+            continue
+        try:
+            d, s = twists.squarefree_part(v)
+        except UnfactoredError:
+            unfactored.append(t)
+            continue
+        key = (max(abs(t.numerator), t.denominator), t)
+        if d not in best or key < best[d][:2]:
+            best[d] = (key[0], t, s)
+    unfactored.sort(key=lambda t: (max(abs(t.numerator), t.denominator), t))
+    return {d: (t, s) for d, (_, t, s) in best.items()}, unfactored
+
+
+def _census_summary(records):
+    best = {r.d: (r.t, r.s) for r in records if r.d is not None}
+    return best, [r.t for r in records if r.status == STATUS_UNFACTORED]
+
+
+def _kept(t):
+    return not (t > 1 or -1 < t < 0)
+
+
+class TestPairSkip:
+    """h(t) is a palindrome, so the census factors each pair {t, 1/t} once."""
+
+    @pytest.mark.parametrize("A, height", [(F(-27), 12), (F(-27), 25), (F(7, 2), 12)])
+    def test_matches_loop_over_every_t(self, A, height):
+        assert _census_summary(census(A, height)) == _reference_census(A, height)
+
+    def test_kept_t_and_factoring_calls(self, monkeypatch):
+        evaluated, factored = [], []
+
+        def recording_poly(A):
+            h = genus5_poly(A)
+
+            class Recording(Poly):
+                def __call__(self, t):
+                    evaluated.append(t)
+                    return h(t)
+
+            return Recording(h.coeffs)
+
+        def spy(v):
+            factored.append(v)
+            return squarefree_part(v)
+
+        monkeypatch.setattr(twists, "genus5_poly", recording_poly)
+        monkeypatch.setattr(twists, "squarefree_part", spy)
+        census(F(-27), 25)
+        every_t = list(twists._enumerate_heights(25))
+        assert evaluated == [t for t in every_t if _kept(t)]
+        assert len(factored) == ORACLE_DISTINCT_D == 401
+        # exactly one member of each pair {t, 1/t}, t != 0, +-1, is kept
+        for t in every_t:
+            if t not in (0, 1, -1):
+                assert _kept(t) != _kept(1 / t), t
+
+    def test_unfactored_kept_t_reports_its_partner(self, monkeypatch):
+        # h(t) and h(1/t) leave the same cofactor once the primes <= height
+        # are stripped, so when the kept t is unfactored so is 1/t
+        A, t0 = F(-27), F(2, 3)
+        h = genus5_poly(A)
+        failing = {h(t0), h(1 / t0)}
+        factored = []
+
+        def flaky(v):
+            factored.append(v)
+            if v in failing:
+                raise UnfactoredError("forced")
+            return squarefree_part(v)
+
+        monkeypatch.setattr(twists, "squarefree_part", flaky)
+        best, unfactored = _census_summary(census(A, 6))
+        assert h(t0) in factored and h(1 / t0) not in factored
+        assert unfactored == [t0, 1 / t0]
+        assert (best, unfactored) == _reference_census(A, 6)
+
+    def test_height_above_trial_division_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(twists, "_enumerate_heights", lambda bound: iter(()))  # no 10^8-t loop
+        with pytest.raises(ValueError, match="height bound"):
+            census(F(-27), TRIAL_DIVISION_BOUND + 1)
+
+    def test_broken_palindrome_is_refused(self, monkeypatch):
+        def perturbed(A):
+            coeffs = list(genus5_poly(A).coeffs)
+            coeffs[5] += 1
+            return Poly(coeffs)
+
+        monkeypatch.setattr(twists, "genus5_poly", perturbed)
+        with pytest.raises(CurveError, match="palindrome"):
+            census(F(-27), 3)
 
 
 class TestGrowthTable:

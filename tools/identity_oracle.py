@@ -120,6 +120,10 @@ def main():
         for name, num in (("f1", -pt), ("f2", -t * pt))
     }
 
+    # 13. the palindrome behind the census pair skip: t^12 h(1/t) == h(t)
+    #     in Q[A][t], so t and 1/t give the same squarefree part d
+    out["h_palindrome_identity"] = sp.expand(sp.cancel(t**12 * hz.subs(t, 1 / t)) - hz) == 0
+
     print(json.dumps(out, indent=1))
 
 
