@@ -5,8 +5,6 @@ enforcing its stated runtime bound.  Run with `pytest tests/test_acceptance.py -
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from twocovers.algebra import Poly
 from twocovers.cli import main as cli_main
 from twocovers.constructions import build_family, genus5_poly
@@ -167,7 +165,7 @@ def test_criterion_08_weil_and_overdetermination():
     for k in (4, 5, 6):
         assert LC.predicted_count(k) == count_space_curve(F(1), F(1), p, k)
     # genus-5 model: full range is 6..10 = 7^10 = 2.8e8 elements; k = 6, 7
-    # run here, k = 8 in the slow marker, k in {9, 10} are beyond the
+    # run here, k = 8 in criterion 8b, k in {9, 10} are beyond the
     # desk-scale enumeration budget (see notes)
     LH = lpoly_hyperelliptic(fam.H, p)
     for k in (6, 7):
@@ -179,7 +177,6 @@ def test_criterion_08_weil_and_overdetermination():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08b_genus5_overdetermination_k8():
     fam = build_family(F(-27))
     LH = lpoly_hyperelliptic(fam.H, 7)

@@ -16,7 +16,13 @@ from twocovers.algebra import (
     quadratic_character,
     reduce_mod_ideal,
 )
-from twocovers.counting import _powmod, _tables, _x_is_primitive, find_irreducible
+from twocovers.counting import (
+    _frobenius_orbits,
+    _powmod,
+    _tables,
+    _x_is_primitive,
+    find_irreducible,
+)
 
 
 def P(*coeffs):
@@ -282,6 +288,32 @@ class TestFindIrreducible:
             exp, log = _tables(p, k, seed)
             assert sorted(exp.tolist()) == list(range(1, p**k)), (p, k, seed)
             assert log[exp].tolist() == list(range(p**k - 1)), (p, k, seed)
+
+
+class TestFrobeniusOrbits:
+    """counting._frobenius_orbits: one exponent per orbit of i -> i p mod
+    (q - 1), weighted by the orbit's length."""
+
+    @pytest.mark.parametrize("p, k", ((5, 1), (5, 2), (5, 4), (5, 6), (7, 3), (7, 4)))
+    def test_orbits_partition_the_exponents(self, p, k):
+        import numpy as np
+
+        n = p**k - 1
+        # in chunks, as the kernel calls it; one orbit may span several
+        kept, weights = [], []
+        for lo in range(0, n, 1000):
+            i = np.arange(lo, min(lo + 1000, n), dtype=np.int32)
+            chunk_kept, chunk_weights = _frobenius_orbits(np, i, p, k)
+            kept += chunk_kept.tolist()
+            weights += chunk_weights.tolist()
+        assert sum(weights) == n
+        covered = set()
+        for i, w in zip(kept, weights):
+            orbit = {i * p**j % n for j in range(k)}
+            assert i == min(orbit) and w == len(orbit), (i, w)
+            assert not covered & orbit
+            covered |= orbit
+        assert covered == set(range(n))
 
 
 class TestIsPrime:

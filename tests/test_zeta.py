@@ -4,11 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from twocovers import counting
 from twocovers.algebra import Fp, Poly, poly_divmod, quadratic_character
 from twocovers.constructions import build_family, build_thm1
 from twocovers.counting import (
     BadPrimeError,
     CountingBudgetError,
+    _chi,
+    _horner,
+    _tables,
     affine_count_rhs,
     affine_count_space,
     field_modulus,
@@ -367,6 +371,22 @@ class TestCountingOracle:
             expected = sum((1 + c1) * (1 + c2) for c1, c2 in chis)
             assert affine_count_space(cubic, disc, p, k, seed=seed) == expected, (p, k, seed)
 
+    def test_flat_orbit_weights_are_caught(self, monkeypatch):
+        # weigh every Frobenius orbit by k, ignoring its stabiliser: F_25 in
+        # F_625 has orbits of length 1 and 2, so the oracle fails at (5, 4)
+        orbits = counting._frobenius_orbits
+
+        def flat(np, i, p, k):
+            kept, weights = orbits(np, i, p, k)
+            return kept, np.full_like(weights, k)
+
+        monkeypatch.setattr(counting, "_frobenius_orbits", flat)
+        monkeypatch.setattr(self, "FIELDS", ((5, 4),))
+        with pytest.raises(AssertionError):
+            self.test_rhs_matches_brute_force()
+        with pytest.raises(AssertionError):
+            self.test_space_matches_brute_force()
+
     def test_counts_independent_of_modulus(self):
         # the point count is intrinsic: recount under different (seeded)
         # irreducible presentations of F_{7^k}
@@ -374,3 +394,31 @@ class TestCountingOracle:
         for k in (2, 3, 4):
             assert len({field_modulus(7, k, seed) for seed in self.SEEDS}) == 3
             assert len({affine_count_rhs(coeffs, 7, k, seed=seed) for seed in self.SEEDS}) == 1
+
+
+class TestOrbitsAgainstEveryExponent:
+    """The orbit-weighted counts at composite k against chi(f(x^i)) summed
+    over every exponent i, without orbits.  Subfields give short orbits here;
+    the Poly oracle above is too slow at 5^6."""
+
+    @pytest.mark.parametrize("p, k", ((5, 6), (7, 4), (7, 6)))
+    def test_weighted_sums_match(self, p, k):
+        import numpy as np
+
+        exp, log = _tables(p, k, 0)
+        top = p ** (k - 1)
+        every = np.arange(p**k - 1, dtype=np.int32)
+
+        def characters(f):
+            f = [c % p for c in f]
+            values = _horner(np, exp, log, f, every, top)
+            assert 0 <= values.min() and values.max() < p**k  # packed elements
+            at_zero = _chi(np, log, np.array([f[0] * top]))
+            return np.concatenate([at_zero, _chi(np, log, values)])
+
+        f = _int_coeffs(build_family(A27).H.f, p)
+        assert len(f) == 13 and f[-1]
+        assert affine_count_rhs(f, p, k) == p**k + int(characters(f).sum())
+        cubic, disc = [1, 6, 0, 1], [4, 0, -3]
+        expected = int(((1 + characters(cubic)) * (1 + characters(disc))).sum())
+        assert affine_count_space(cubic, disc, p, k) == expected
