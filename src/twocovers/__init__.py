@@ -10,7 +10,6 @@ from .constructions import (
     odd_covering_maps,
     params_from_j,
     parametrize,
-    quotient_maps,
     transport_to_curve,
 )
 from .curves import (

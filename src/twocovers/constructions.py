@@ -52,10 +52,6 @@ class GenusDropError(CurveError):
     pass
 
 
-class RamificationError(CurveError):
-    pass
-
-
 class PoleError(CurveError):
     pass
 
@@ -320,65 +316,6 @@ def covering_maps(A):
         )
 
     return cover("f1", -p), cover("f2", -(t * p))
-
-
-# ---------------------------------------------------------------------------
-# quotient maps H -> H1, H -> H2
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """(x, y) -> (u, v) = (x + 1/x, y * v_num(x)/v_den(x))."""
-
-    name: str
-    A: object
-    u_num: Poly
-    u_den: Poly
-    v_num: Poly
-    v_den: Poly
-    target: HyperellipticModel
-
-    def apply(self, x0, y0):
-        du = self.u_den(x0)
-        dv = self.v_den(x0)
-        if not du or not dv:
-            raise PoleError(f"quotient map undefined at x = {x0}")
-        return (self.u_num(x0) / du, y0 * self.v_num(x0) / dv)
-
-
-def quotient_maps(A):
-    """The degree-2 quotients; requires A outside {0, 27/4}.
-
-    u = x + 1/x; v1 = y (x^2-1)/x^4 lands on the genus-3 model, v2 = y/x^3 on
-    the genus-2 model.  At 4A = 27 the genus-3 quotient ramifies at x = 1
-    (the involution (x, y) -> (1/x, -y/x^6) fixes (1, 0)).
-    """
-    if 4 * A == 27:
-        raise RamificationError(
-            "4A = 27 makes the degree-2 quotient ramified at x = 1 (h(1) = 256A - 1728 = 0)"
-        )
-    fam = build_family(A)
-    x = Poly([Fraction(0), Fraction(1)])
-    one = Poly([Fraction(1)])
-    to_h1 = QuotientMap(
-        name="to_genus3",
-        A=A,
-        u_num=x * x + 1,
-        u_den=x,
-        v_num=x * x - 1,
-        v_den=x**4,
-        target=fam.H1,
-    )
-    to_h2 = QuotientMap(
-        name="to_genus2",
-        A=A,
-        u_num=x * x + 1,
-        u_den=x,
-        v_num=one,
-        v_den=x**3,
-        target=fam.H2,
-    )
-    return to_h1, to_h2
 
 
 # ---------------------------------------------------------------------------

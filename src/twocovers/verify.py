@@ -2,10 +2,10 @@
 
 Each check returns a report rather than raising: a failing identity carries
 its nonzero residual (or offending point) as the witness.  The symbolic
-checks run over the parameter rings Q[A] and Q[A,B]; specializations and
-finite-field spot checks complement them.  The covers H -> D -> E are proved
-through their factors: the cover into the quartic D and the Jacobian map
-D -> E each satisfy one small polynomial identity.
+checks run over the parameter rings Q[A] and Q[A,B], with specializations
+to a rational A; no check reduces modulo a prime.  The covers H -> D -> E
+are proved through their factors: the cover into the quartic D and the
+Jacobian map D -> E each satisfy one small polynomial identity.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PrimeField, reduce_mod_ideal
+from .algebra import Poly, reduce_mod_ideal
 from .constructions import (
     _times_param,
     covering_maps,
@@ -23,7 +23,6 @@ from .constructions import (
     genus5_poly,
     plane_relation_poly,
 )
-from .curves import CurveError
 
 
 @dataclass(frozen=True)
@@ -84,29 +83,6 @@ def verify_thm1(conic_coeffs=(1, 1, 1)):
         g = g * Fraction(1, ca)
     r = reduce_mod_ideal(f, g)
     return _report("thm1-ideal-identity", not r, r)
-
-
-def thm1_fiber_check(A, B, p):
-    """Exhaustive finite-field check of the space-curve projections: every
-    conic point carries equal cubic values in x and z (so both projections
-    hit the same curve), and some conic point has x != z (so the projections
-    are genuinely distinct maps).
-
-    Returns (number of conic points, values_ok, saw_distinct).
-    """
-    field = PrimeField(p)
-    Af = field(Fraction(A))
-    n = 0
-    saw_distinct = False
-    for xv in field.elements():
-        for zv in field.elements():
-            if xv * xv + xv * zv + zv * zv == Af:
-                n += 1
-                if xv != zv:
-                    saw_distinct = True
-                if xv**3 - Af * xv != zv**3 - Af * zv:
-                    return n, False, saw_distinct
-    return n, True, saw_distinct
 
 
 def verify_thm2(h_perturbation=None):
@@ -199,49 +175,25 @@ def verify_maps_on_curve(A=None, corrupt_scale=False):
     return _report("maps-on-curve", True)
 
 
-def verify_independence(A, p):
-    """The three premises behind independence of the two covers:
+def verify_independence(A):
+    """The premises behind independence of the two covers, decided over Q:
     (i) the plane relation is z-cubic with unit leading coefficient, so both
         covers have degree 3 onto the quartic;
-    (ii) the covers differ: some t has x(t) != z(t);
-    (iii) they are not mutual negatives: some curve point has images that are
-        not inverse to each other on E.
-    (ii) and (iii) run on the covers reduced mod p.
+    (ii) f1 != +-f2.  At t = 0, q = 1 and h = A, nonzero because
+        build_family rejects A = 0, so the two points (0, +-w) of H have
+        x(f_i(0, w)) = alpha_i + beta_i w.  Negation keeps x, so f1 = +-f2
+        would force (alpha_1, beta_1) = (alpha_2, beta_2); the covers give
+        (4, -1) and (0, -1).
     """
     rel = plane_relation_poly()
     if rel.degree != 3 or rel.coeffs[3] != 1:
         return _report("independence", False, f"plane relation has degree {rel.degree}")
-
-    field = PrimeField(p)
-
-    def to_fp(c):
-        return field(Fraction(c))
-
-    maps = covering_maps(Fraction(A))
-    try:
-        g1, g2 = (f.map_coeffs(to_fp) for f in maps)
-    except CurveError:
-        return _report("independence", False, f"p = {p} degenerates the model")
-
-    # both covers share the denominator q of u
-    if not any(g1.q(t0) and g1.num(t0) != g2.num(t0) for t0 in map(field, range(2, p))):
-        return _report("independence", False, "covers agree everywhere (unexpected)")
-
-    sqrt_table = {}
-    for v in field.elements():
-        sqrt_table.setdefault((v * v).value, v)
-    for tv in range(p):
-        t0 = field(tv)
-        hv = g1.h(t0)
-        if not hv or hv.value not in sqrt_table:
-            continue
-        w0 = sqrt_table[hv.value]
-        P1, P2 = g1.evaluate(t0, w0), g2.evaluate(t0, w0)
-        if P1.infinity or P2.infinity:
-            continue
-        if P1.x != P2.x or P1.y != -P2.y:
-            return _report("independence", True)
-    return _report("independence", False, f"f1 = -f2 at every point of F_{p}")
+    x1, x2 = (f.sheet_split(0)[:2] for f in covering_maps(Fraction(A)))
+    if x1 == x2:
+        return _report(
+            "independence", False, f"x(f_i(0, w)) = {x1[0]} + ({x1[1]}) w for both covers"
+        )
+    return _report("independence", True)
 
 
 def verify_quotients(A=None):
@@ -282,24 +234,15 @@ def verify_quotients(A=None):
     return _report("quotient-identities", True)
 
 
-def run_suite(A, p=None):
+def run_suite(A):
     """The full verification battery for a concrete parameter A."""
-    from .zeta import BadPrimeError, is_good_prime
-
     A = Fraction(A)
-    if p is None:
-        p = 101
-        while not is_good_prime(A, p):
-            p += 1
-    elif not is_good_prime(A, p):
-        raise BadPrimeError(f"p = {p} is a bad prime for A = {A}")
-    reports = [
+    return [
         verify_thm1(),
         verify_thm2(),
         verify_maps_on_curve(),  # symbolic, strongest form
         verify_maps_on_curve(A),  # the requested specialization
-        verify_independence(A, p),
+        verify_independence(A),
         verify_quotients(),
         verify_quotients(A),
     ]
-    return reports

@@ -228,7 +228,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     cases = [
         ["construct", "--j", "6912/5"],
         ["construct", "--theorem", "1", "--A", "1", "--B", "1"],
-        ["verify", "--A", "-27", "--primes", "101"],
+        ["verify", "--A", "-27"],
         ["zeta", "--A", "-27", "--curve", "H2", "--primes", "7,11"],
         ["zeta", "--curve", "C", "--A", "1", "--B", "1", "--primes", "7"],
         ["remarks", "--A", "-27", "--B", "1", "--primes", "7"],

@@ -62,7 +62,7 @@ class TestConstruct:
 
 class TestVerify:
     def test_passes_for_good_j(self, capsys):
-        code, out, _ = run_cli(["verify", "--j", "6912/5", "--primes", "101"], capsys)
+        code, out, _ = run_cli(["verify", "--j", "6912/5"], capsys)
         assert code == 0
         reports = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["status"] == "pass" for r in reports)
@@ -125,7 +125,7 @@ UNREAD_FLAGS = [
     (command, flag)
     for command, flags in {
         "construct": ("--seed", "--max-field-size", "--primes"),
-        "verify": ("--B", "--seed", "--max-field-size"),
+        "verify": ("--B", "--seed", "--max-field-size", "--primes"),
         "twists": ("--B", "--seed", "--max-field-size", "--primes"),
         "growth": ("--B", "--seed", "--max-field-size", "--primes"),
     }.items()
@@ -140,7 +140,6 @@ class TestInputValidation:
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "4"],
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "7", "--max-field-size", "-5"],
             ["remarks", "--A", "-27", "--primes", "4"],
-            ["verify", "--j", "6912/5", "--primes", "4"],
             ["twists", "--A", "-27", "--height", "0"],
             ["twists", "--A", "-27", "--height", "-3"],
             ["growth", "--A", "-27", "--height", "10001"],
@@ -155,7 +154,6 @@ class TestInputValidation:
             "zeta-composite-prime",
             "negative-budget",
             "remarks-composite-prime",
-            "verify-composite-prime",
             "zero-height",
             "negative-height",
             "height-above-trial-division-bound",
@@ -176,8 +174,7 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "args",
         [
-            ["verify", "--A", "-27", "--primes", "5"],
-            ["verify", "--A", "-27", "--primes", "101,103"],
+            ["zeta", "--A", "-27", "--curve", "H", "--primes", "5"],
             ["remarks", "--A", "-27", "--primes", ","],
             ["remarks", "--A", "-27", "--primes", "7,7"],
             ["zeta", "--A", "-27", "--curve", "E", "--primes", "7,11,7"],
@@ -187,8 +184,7 @@ class TestInputValidation:
             ["remarks", "--A", "-27", "--primes", "7,3317044064679887385961981"],
         ],
         ids=[
-            "verify-bad-prime",
-            "verify-two-primes",
+            "zeta-bad-prime",
             "empty-list",
             "remarks-repeat",
             "zeta-repeat",
@@ -370,7 +366,7 @@ class TestLazyNumpy:
             "import twocovers.cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = twocovers.cli.main(['verify', '--j', '6912/5', '--primes', '101'])\n"
+            "    code = twocovers.cli.main(['verify', '--j', '6912/5'])\n"
             "assert code == 0, code\n"
             "assert 'numpy' not in sys.modules, 'verify'\n"
         )

@@ -10,7 +10,6 @@ from twocovers.constructions import (
     ConstructionParams,
     GenusDropError,
     PoleError,
-    RamificationError,
     UnsupportedJError,
     build_family,
     build_thm1,
@@ -24,7 +23,6 @@ from twocovers.constructions import (
     params_from_j,
     plane_relation_poly,
     quadratic_twist,
-    quotient_maps,
     transport_to_curve,
 )
 from twocovers.curves import (
@@ -310,40 +308,6 @@ class TestCoveringMaps:
 
 
 class TestQuotientMaps:
-    def test_examples(self):
-        qm1, qm2 = quotient_maps(F(-27))
-        u, v2 = qm2.apply(F(-1), F(8))
-        assert (u, v2) == (F(-2), F(-8))
-        assert v2 * v2 == genus2_poly(F(-27))(u)
-
-    def test_on_target_random(self):
-        A = F(16)
-        qm1, qm2 = quotient_maps(A)
-        h = genus5_poly(A)
-        import math
-
-        for tn in range(-20, 21):
-            for td in range(1, 6):
-                x0 = F(tn, td)
-                if x0 == 0:
-                    continue
-                v = h(x0)
-                if v <= 0:
-                    continue
-                sn, sd = math.isqrt(v.numerator), math.isqrt(v.denominator)
-                if sn * sn != v.numerator or sd * sd != v.denominator:
-                    continue
-                y0 = F(sn, sd)
-                u1, w1 = qm1.apply(x0, y0)
-                u2, w2 = qm2.apply(x0, y0)
-                assert u1 == u2 == x0 + 1 / x0
-                assert w1 * w1 == genus3_poly(A)(u1)
-                assert w2 * w2 == genus2_poly(A)(u2)
-
-    def test_ramified_parameter_rejected(self):
-        with pytest.raises(RamificationError):
-            quotient_maps(F(27, 4))
-
     def test_involution_identity(self):
         # (x, y) -> (1/x, y/x^6) preserves the curve: h(1/x) x^12 == h(x)
         for A in (F(-27), F(2)):

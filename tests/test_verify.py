@@ -3,12 +3,11 @@ import random
 import time
 from fractions import Fraction as F
 
-from twocovers import constructions
+from twocovers import constructions, verify
 from twocovers.algebra import PrimeField
 from twocovers.verify import (
     VerificationReport,
     run_suite,
-    thm1_fiber_check,
     verify_independence,
     verify_maps_on_curve,
     verify_quotients,
@@ -31,22 +30,6 @@ class TestThm1:
             coeffs = [1, 1, 1]
             coeffs[idx] += 1
             assert not verify_thm1(conic_coeffs=tuple(coeffs)).passed
-
-    def test_numeric_spot_check_f101(self):
-        n, ok, distinct = thm1_fiber_check(F(1), F(1), 101)
-        assert ok and n > 0
-        assert distinct  # the two projections are different maps
-
-    def test_numeric_spot_checks_random(self):
-        rng = random.Random(4)
-        for _ in range(6):
-            A = F(rng.randint(1, 40))
-            B = F(rng.randint(-40, 40))
-            p = rng.choice([5, 7, 11, 13, 17, 19, 23, 29, 31])
-            if A % p == 0:
-                continue
-            _, ok, _ = thm1_fiber_check(A, B, p)
-            assert ok
 
 
 class TestThm2:
@@ -94,21 +77,44 @@ class TestMapsOnCurve:
 
 
 class TestIndependence:
-    def test_A27_f101(self):
-        assert verify_independence(F(-27), 101).passed
+    def test_passes_over_several_A(self):
+        # every A here is one that build_family accepts
+        for A in (F(-27), F(1), F(5), F(-3, 4), F(7, 2), F(100), F(-1), F(9, 4)):
+            r = verify_independence(A)
+            assert r.passed and r.witness is None, A
 
-    def test_several_good_pairs(self):
-        from twocovers.zeta import is_good_prime
+    def test_t0_sheet_pairs_frozen(self):
+        # x(f_i(0, w)) = alpha_i + beta_i w: 4 - w for f1 and -w for f2 at
+        # every A (tools/identity_oracle.py, item 14)
+        for A in (F(-27), F(1), F(-3, 4)):
+            f1, f2 = constructions.covering_maps(A)
+            assert f1.sheet_split(0)[:2] == (4, -1)
+            assert f2.sheet_split(0)[:2] == (0, -1)
 
-        rng = random.Random(9)
-        done = 0
-        while done < 5:
-            A = F(rng.randint(-60, 60))
-            p = rng.choice([7, 11, 13, 17, 19, 23])
-            if not A or 4 * A == 27 or not is_good_prime(A, p):
-                continue
-            assert verify_independence(A, p).passed
-            done += 1
+    def test_equal_covers_fail(self, monkeypatch):
+        original = verify.covering_maps
+
+        def doubled(A):
+            f1, _ = original(A)
+            return f1, f1
+
+        monkeypatch.setattr(verify, "covering_maps", doubled)
+        r = verify_independence(F(-27))
+        assert not r.passed and "4 + (-1) w" in r.witness
+
+    def test_negated_cover_fails(self, monkeypatch):
+        # -f1 negates the y-map of the Jacobian map and keeps its x-map
+        original = verify.covering_maps
+
+        def negated(A):
+            f1, _ = original(A)
+            ya, yb = f1.jacobian.y_map
+            minus = dataclasses.replace(f1.jacobian, y_map=(-ya, -yb))
+            return f1, dataclasses.replace(f1, name="-f1", jacobian=minus)
+
+        monkeypatch.setattr(verify, "covering_maps", negated)
+        r = verify_independence(F(-27))
+        assert not r.passed and "4 + (-1) w" in r.witness
 
 
 class TestQuotients:

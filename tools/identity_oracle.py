@@ -124,6 +124,15 @@ def main():
     #     in Q[A][t], so t and 1/t give the same squarefree part d
     out["h_palindrome_identity"] = sp.expand(sp.cancel(t**12 * hz.subs(t, 1 / t)) - hz) == 0
 
+    # 14. the independence witness at t = 0 (q(0) = 1, h(0) = A != 0): the
+    #     x-coordinate xe = 8u^2 + 4u - 8v of item 6 at u = x(0), resp.
+    #     u = z(0), and v = w/8, as a polynomial alpha + beta w in w
+    out["h_at_t0"] = str(hz.subs(t, 0))
+    out["t0_sheet_x"] = {
+        name: str(sp.expand(xe.subs({u: ut.subs(t, 0), v: w / 8})))
+        for name, ut in (("f1", xt), ("f2", zt))
+    }
+
     print(json.dumps(out, indent=1))
 
 
