@@ -2,7 +2,7 @@
 an elliptic curve, with symbolic verification, zeta-function evidence for the
 Jacobian decompositions, and a bounded-height quadratic-twist census."""
 
-from .algebra import Fp, Poly, PrimeField, Rational, quadratic_character
+from .algebra import Fp, Poly, quadratic_character
 from .constructions import (
     build_family,
     build_thm1,
@@ -10,7 +10,6 @@ from .constructions import (
     odd_covering_maps,
     params_from_j,
     parametrize,
-    transport_to_curve,
 )
 from .curves import (
     CubicModel,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class AlgebraError(ValueError):
     pass
@@ -112,40 +110,6 @@ class Fp:
 
     def __repr__(self):
         return f"Fp({self.value}, {self.p})"
-
-
-class PrimeField:
-    """The field F_p for a prime p > 3."""
-
-    def __init__(self, p):
-        if p <= 3 or not is_prime(p):
-            raise AlgebraError(f"prime > 3 required, got {p}")
-        self.p = p
-        self.order = p
-
-    def __call__(self, value):
-        if isinstance(value, Fp):
-            value = value.value
-        elif isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise AlgebraError(f"denominator of {value} vanishes mod {self.p}")
-            value = value.numerator * pow(value.denominator, self.p - 2, self.p)
-        return Fp(value, self.p)
-
-    def zero(self):
-        return Fp(0, self.p)
-
-    def one(self):
-        return Fp(1, self.p)
-
-    def elements(self):
-        return (Fp(v, self.p) for v in range(self.p))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __repr__(self):
-        return f"F_{self.p}"
 
 
 # psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)): the least strong

@@ -143,8 +143,7 @@ def _resolve_parameter(args):
     if getattr(args, "j", None) is not None and getattr(args, "A", None) is not None:
         raise UsageError("give exactly one of --j and --A")
     if getattr(args, "j", None) is not None:
-        params = params_from_j(args.j)
-        return params.A, args.j
+        return params_from_j(args.j), args.j
     if getattr(args, "A", None) is not None:
         return args.A, None
     raise UsageError("one of --j and --A is required")

@@ -35,20 +35,12 @@ from .curves import (
     SingularModelError,
     _ec_add_unchecked,
     ec_neg,
-    hyperelliptic_genus,
-    j_invariant,
-    literal_twist,
     quadratic_twist,
     quartic_jacobian,
-    twist_factor,
 )
 
 
 class UnsupportedJError(CurveError):
-    pass
-
-
-class GenusDropError(CurveError):
     pass
 
 
@@ -66,12 +58,6 @@ INFINITY_IMAGE = (Fraction(1), Fraction(1))
 # parameters
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    j: object
-    A: object
-
-
 def params_from_j(j):
     """A = 27 j / (4 (j - 1728)); rejects j in {0, 1728}."""
     if j == 0 or j == 1728:
@@ -81,7 +67,7 @@ def params_from_j(j):
     A = 27 * j / (4 * (j - 1728))
     if A == 0 or 4 * A == 27:
         raise UnsupportedJError(f"degenerate parameter A = {A} from j = {j}")
-    return ConstructionParams(j=j, A=A)
+    return A
 
 
 def _times_param(f, A):
@@ -120,7 +106,12 @@ class Family:
 
 
 def build_family(A):
-    """All six models for a parameter A; errors on any degeneration."""
+    """All six models for a parameter A; errors on any degeneration.
+
+    Only A = 0 (rejected below) and 4A = 27 (by E's constructor) degenerate,
+    so no genus check is needed: h, H1's octic and H2's sextic have leading
+    coefficient A and discriminants 2^84 A^8 (4A - 27)^5, 2^64 A^4 (4A - 27)^4
+    and 2^36 A^4 (4A - 27)^2 (tools/identity_oracle.py, item 11)."""
     if not A:
         raise CurveError("A must be nonzero")
     B = A * Fraction(1, 64)
@@ -129,15 +120,10 @@ def build_family(A):
         Eprime = CubicModel(A, 2 * A, A)
     except SingularModelError as exc:
         raise SingularModelError(f"A = {A}: {exc}") from exc
-    try:
-        D = QuarticModel(1, 1, 0, 0, B)
-        H = HyperellipticModel(genus5_poly(A))
-        H1 = HyperellipticModel(genus3_poly(A))
-        H2 = HyperellipticModel(genus2_poly(A))
-    except SingularModelError as exc:
-        raise GenusDropError(f"A = {A} drops genus: {exc}") from exc
-    if (H.genus, H1.genus, H2.genus) != (5, 3, 2):
-        raise GenusDropError(f"unexpected genera for A = {A}")
+    D = QuarticModel(1, 1, 0, 0, B)
+    H = HyperellipticModel(genus5_poly(A))
+    H1 = HyperellipticModel(genus3_poly(A))
+    H2 = HyperellipticModel(genus2_poly(A))
     return Family(A=A, E=E, D=D, H=H, H1=H1, H2=H2, Eprime=Eprime)
 
 
@@ -154,10 +140,6 @@ class SpaceCurveC:
     cubic: CubicModel
     aux_cubic: CubicModel
 
-    @property
-    def conic_constant(self):
-        return self.A
-
 
 def build_thm1(A, B):
     if not A:
@@ -169,23 +151,6 @@ def build_thm1(A, B):
 
 # ---------------------------------------------------------------------------
 # genus-0 parametrization
-
-
-@dataclass(frozen=True)
-class ParametrizationData:
-    """x(t) = -(t^3-1)/(t^4-1) and z(t) = t x(t), as num/den pairs."""
-
-    x_num: Poly
-    x_den: Poly
-    z_num: Poly
-    z_den: Poly
-
-
-def parametrization_data():
-    t = Poly([Fraction(0), Fraction(1)])
-    num = -(t**3 - 1)
-    den = t**4 - 1
-    return ParametrizationData(x_num=num, x_den=den, z_num=t * num, z_den=den)
 
 
 def parametrize(t):
@@ -227,7 +192,6 @@ class CoveringMap:
     target: CubicModel
     quartic: QuarticModel
     jacobian: QuarticJacobian
-    degree_into_quartic: int = 3
 
     def map_coeffs(self, fn):
         """The same map with every coefficient sent through fn, e.g.
@@ -319,7 +283,7 @@ def covering_maps(A):
 
 
 # ---------------------------------------------------------------------------
-# odd covers and twist transport
+# odd covers
 
 
 def _rational_sqrt(c):
@@ -391,59 +355,10 @@ class OddCoveringMaps:
         return ECPoint(d * x, d * c * y0)
 
     def twisted_curve(self, d):
-        A = self.A
-        return CubicModel(0 * A, -A * d * d, A * d**3)
+        return quadratic_twist(self.f1.target, d)
 
 
 def odd_covering_maps(A):
     """The odd covers for a concrete rational A."""
     A = Fraction(A)
     return OddCoveringMaps(A, *covering_maps(A))
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    """Twist transport of the construction onto a user's curve."""
-
-    d: object
-    params: ConstructionParams
-    reference: CubicModel  # y^2 = x^3 - Ax + A
-    target: CubicModel  # the normalized d-twist, isomorphic shift of the input
-    x_shift: object  # E_user coords: (x + x_shift, y)
-    family: Family
-    twisted_H: HyperellipticModel  # y^2 = d h(x)
-    literal_H: object  # d y^2 = h(x)
-    maps: OddCoveringMaps
-
-
-def transport_to_curve(E_user):
-    """Find d with E_user isomorphic to the d-twist of the reference curve
-    and return the matching twist of the genus-5 cover with its maps."""
-    a2 = E_user.a2
-    if a2:
-        # complete the cube: x -> x - a2/3
-        third = a2 / 3
-        a4 = E_user.a4 - 3 * third * third
-        a6 = E_user.a6 + 2 * third**3 - third * E_user.a4
-        short = CubicModel(0 * a2, a4, a6)
-        x_shift = -third
-    else:
-        short = E_user
-        x_shift = 0 * E_user.a4
-    j = j_invariant(short)
-    params = params_from_j(j)  # raises UnsupportedJError for j in {0, 1728}
-    A = params.A
-    reference = CubicModel(0 * A, -A, A)
-    d = twist_factor(reference, short)
-    fam = build_family(A)
-    return TransportResult(
-        d=d,
-        params=params,
-        reference=reference,
-        target=quadratic_twist(reference, d),
-        x_shift=x_shift,
-        family=fam,
-        twisted_H=quadratic_twist(fam.H, d),
-        literal_H=literal_twist(fam.H, d),
-        maps=odd_covering_maps(A),
-    )

@@ -134,34 +134,6 @@ class HyperellipticModel:
         return f"HyperellipticModel(y^2 = deg-{self.f.degree} poly, genus {self.genus})"
 
 
-class LiteralTwist:
-    """The literal model d y^2 = f(x) of a quadratic twist.
-
-    The normalized companion (y^2 = d f(x) for hyperelliptic models,
-    y^2 = x^3 + a2 d x^2 + a4 d^2 x + a6 d^3 for cubics) is what
-    quadratic_twist returns; points transfer via point_to_normalized.
-    """
-
-    __slots__ = ("base", "d")
-
-    def __init__(self, base, d):
-        if not d:
-            raise CurveError("twist factor d must be nonzero")
-        self.base = base
-        self.d = d
-
-    def normalized(self):
-        return quadratic_twist(self.base, self.d)
-
-    def point_to_normalized(self, x, y):
-        if isinstance(self.base, CubicModel):
-            return (self.d * x, self.d * self.d * y)
-        return (x, self.d * y)
-
-    def __repr__(self):
-        return f"LiteralTwist({self.d} y^2 = rhs of {self.base!r})"
-
-
 def _generic_squarefree(f):
     """Squarefreeness over the fraction field of the coefficient ring.
 
@@ -244,8 +216,8 @@ class ECPoint:
 
 
 def on_curve(model, point):
-    """Exact equation check; accepts cubic/quartic/hyperelliptic/literal-twist
-    models (points as ECPoint or (x, y) pairs) and space-curve triples."""
+    """Exact equation check; accepts cubic/quartic/hyperelliptic models
+    (points as ECPoint or (x, y) pairs) and space-curve triples."""
     if isinstance(point, ECPoint):
         if point.infinity:
             return True
@@ -254,10 +226,8 @@ def on_curve(model, point):
         if len(point) == 3:
             x, y, z = point
             cub = model.cubic
-            return y * y == cub.rhs(x) and x * x + x * z + z * z == model.conic_constant
+            return y * y == cub.rhs(x) and x * x + x * z + z * z == model.A
         x, y = point
-    if isinstance(model, LiteralTwist):
-        return model.d * y * y == model.base.rhs(x)
     return y * y == model.rhs(x)
 
 
@@ -327,10 +297,6 @@ def quadratic_twist(model, d):
     if isinstance(model, HyperellipticModel):
         return HyperellipticModel(model.f * d)
     raise CurveError(f"cannot twist {model!r}")
-
-
-def literal_twist(model, d):
-    return LiteralTwist(model, d)
 
 
 def twist_factor(c1, c2):
@@ -468,17 +434,3 @@ def model_to_obj(model):
     else:
         raise CurveError(f"cannot serialize {model!r}")
     return {"model": kind, "coeffs": [_frac_pair(c) for c in coeffs]}
-
-
-def model_from_obj(obj):
-    coeffs = [Fraction(int(n), int(d)) for n, d in obj["coeffs"]]
-    kind = obj["model"]
-    if kind == "cubic":
-        if len(coeffs) != 4 or coeffs[3] != 1:
-            raise CurveError("cubic serialization must be monic of degree 3")
-        return CubicModel(coeffs[2], coeffs[1], coeffs[0])
-    if kind == "quartic":
-        return QuarticModel(coeffs[4], coeffs[3], coeffs[2], coeffs[1], coeffs[0])
-    if kind == "hyperelliptic":
-        return HyperellipticModel(Poly(coeffs))
-    raise CurveError(f"unknown model kind {kind!r}")

@@ -176,18 +176,16 @@ def verify_maps_on_curve(A=None, corrupt_scale=False):
 
 
 def verify_independence(A):
-    """The premises behind independence of the two covers, decided over Q:
-    (i) the plane relation is z-cubic with unit leading coefficient, so both
-        covers have degree 3 onto the quartic;
-    (ii) f1 != +-f2.  At t = 0, q = 1 and h = A, nonzero because
-        build_family rejects A = 0, so the two points (0, +-w) of H have
-        x(f_i(0, w)) = alpha_i + beta_i w.  Negation keeps x, so f1 = +-f2
-        would force (alpha_1, beta_1) = (alpha_2, beta_2); the covers give
-        (4, -1) and (0, -1).
+    """f1 != +-f2, decided over Q.  At t = 0, q = 1 and h = A, nonzero
+    because build_family rejects A = 0, so the two points (0, +-w) of H have
+    x(f_i(0, w)) = alpha_i + beta_i w.  Negation keeps x, so f1 = +-f2 would
+    force (alpha_1, beta_1) = (alpha_2, beta_2); the covers give (4, -1) and
+    (0, -1).
+
+    That both covers have degree 3 onto the quartic is not checked here:
+    verify_thm2 proves (x^4+x^3) - (z^4+z^3) = (x-z) F(x, z), which forces
+    the plane relation F to be monic of z-degree 3.
     """
-    rel = plane_relation_poly()
-    if rel.degree != 3 or rel.coeffs[3] != 1:
-        return _report("independence", False, f"plane relation has degree {rel.degree}")
     x1, x2 = (f.sheet_split(0)[:2] for f in covering_maps(Fraction(A)))
     if x1 == x2:
         return _report(

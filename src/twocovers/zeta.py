@@ -267,16 +267,6 @@ def lpoly_space_curve(A, B, p, max_field_size=MAX_FIELD_SIZE, seed=0):
     return LPolynomial.from_counts(p, counts)
 
 
-def overdetermination_check(model_counter, L, ks):
-    """Recompute N_k independently for each k and compare with the counts the
-    L-polynomial predicts; returns the list of (k, predicted, computed)."""
-    rows = []
-    for k in ks:
-        computed = model_counter(k)
-        rows.append((k, L.predicted_count(k), computed))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # the decomposition report
 

@@ -9,7 +9,6 @@ from twocovers.algebra import (
     AlgebraError,
     Fp,
     Poly,
-    PrimeField,
     is_prime,
     poly_divmod,
     poly_gcd,
@@ -167,25 +166,12 @@ class TestReduceModIdeal:
 
 class TestPrimeField:
     def test_arithmetic(self):
-        f7 = PrimeField(7)
-        a, b = f7(3), f7(5)
+        a, b = Fp(3, 7), Fp(5, 7)
         assert a + b == 1
         assert a * b == 1
-        assert a / b == f7(3 * 3)  # 5^-1 = 3
+        assert a / b == Fp(3 * 3, 7)  # 5^-1 = 3
         assert -a == 4
         assert a ** 6 == 1
-
-    def test_rational_reduction(self):
-        f7 = PrimeField(7)
-        assert f7(F(-27)) == 1
-        assert f7(F(1, 2)) == 4
-        with pytest.raises(AlgebraError):
-            f7(F(1, 7))
-
-    def test_small_characteristic_rejected(self):
-        for p in (2, 3, 4, 9):
-            with pytest.raises(AlgebraError):
-                PrimeField(p)
 
 
 class TestQuadraticCharacter:
@@ -250,12 +236,11 @@ class TestFindIrreducible:
         # (x - 1)(x^2 + 1)(x^3 - 2) over F_7, irreducible factors of degrees
         # 1, 2, 3, passes x^(p^6) = x, the first half of Rabin's test; only
         # its gcd step, or the order of x, rejects it
-        f7 = PrimeField(7)
-        quadratic = Poly([f7(1), f7(0), f7(1)])
-        cubic = Poly([f7(-2), f7(0), f7(0), f7(1)])
+        quadratic = Poly([Fp(1, 7), Fp(0, 7), Fp(1, 7)])
+        cubic = Poly([Fp(-2, 7), Fp(0, 7), Fp(0, 7), Fp(1, 7)])
         for factor in (quadratic, cubic):
-            assert all(factor(f7(v)) for v in range(7))
-        g = _ints(Poly([f7(-1), f7(1)]) * quadratic * cubic)
+            assert all(factor(Fp(v, 7)) for v in range(7))
+        g = _ints(Poly([Fp(-1, 7), Fp(1, 7)]) * quadratic * cubic)
         assert len(g) == 7
         assert _x_power(7**6, g, 7) == [0, 1, 0, 0, 0, 0]
         assert not _x_is_primitive(g, 7)

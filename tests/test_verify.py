@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 from twocovers import constructions, verify
-from twocovers.algebra import PrimeField
+from twocovers.algebra import Fp, Poly
 from twocovers.verify import (
     VerificationReport,
     run_suite,
@@ -47,6 +47,23 @@ class TestThm2:
     def test_mutations_fail(self):
         for idx in (0, 3, 7, 12):
             assert not verify_thm2(h_perturbation=(idx, 1)).passed
+
+    def test_plane_relation_mutations_fail(self, monkeypatch):
+        # the companion identity is what proves the plane relation monic of
+        # z-degree 3, so both covers have degree 3 onto the quartic
+        original = constructions.plane_relation_poly
+
+        def doubled_leading():
+            c = list(original().coeffs)
+            return Poly(c[:3] + [2 * c[3]])
+
+        def shifted_constant():
+            c = list(original().coeffs)
+            return Poly([c[0] + 1] + c[1:])
+
+        for mutant in (doubled_leading, shifted_constant):
+            monkeypatch.setattr(verify, "plane_relation_poly", mutant)
+            assert not verify_thm2().passed
 
 
 class TestMapsOnCurve:
@@ -168,16 +185,15 @@ class TestSuite:
             p = rng.choice([7, 11, 13, 17, 19, 23, 29, 31])
             if not A or 4 * A == 27 or not is_good_prime(A, p):
                 continue
-            field = PrimeField(p)
             f1, _ = covering_maps(A)
-            to_fp = lambda c: field(F(c))
+            to_fp = lambda c: Fp(F(c).numerator, p) / F(c).denominator
             g = f1.map_coeffs(to_fp)
-            Afp = field(A)
+            Afp = to_fp(A)
             for tv in range(p):
-                t0 = field(tv)
+                t0 = Fp(tv, p)
                 hv = g.h(t0)
                 for wv in range(p):
-                    w0 = field(wv)
+                    w0 = Fp(wv, p)
                     if w0 * w0 != hv:
                         continue
                     point = g.quartic_point(t0, w0)

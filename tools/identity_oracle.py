@@ -107,6 +107,13 @@ def main():
     out["disc_Eprime_cubic"] = str(sp.factor(sp.discriminant(4 * (x**3 + A * x**2 + 2 * A * x + A), x) / 16))
     out["disc_quartic_D"] = str(sp.factor(sp.discriminant(x**4 + x**3 + B, x)))
     out["disc_h_factored"] = str(sp.factor(sp.discriminant(genus5_rhs(), x)))
+    out["disc_H2_sextic"] = str(sp.factor(sp.discriminant(genus2_rhs(x), x)))
+    out["disc_H1_octic"] = str(sp.factor(sp.discriminant((x**2 - 4) * genus2_rhs(x), x)))
+    # with leading coefficient A, the degrees 12, 8, 6 and so the genera
+    # 5, 3, 2 hold wherever A (4A - 27) != 0
+    out["leading_coeffs_h_H1_H2"] = [
+        str(sp.Poly(f, x).LC()) for f in (genus5_rhs(), (x**2 - 4) * genus2_rhs(x), genus2_rhs(x))
+    ]
 
     # 12. each cover into the quartic D: v^2 = u^4 + u^3 + B at
     #     (u, v) = (num/q, w/(8 q^2)) on w^2 = h(t), i.e.
