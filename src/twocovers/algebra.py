@@ -1,4 +1,4 @@
-"""Exact scalar and polynomial arithmetic.
+"""Exact scalar and polynomial arithmetic, and integer primality and factoring.
 
 Scalars are python Fractions (arbitrary precision) or prime-field
 elements.  Polynomials are dense, generic over either coefficient ring,
@@ -8,6 +8,7 @@ Q[A,B][x][z].  F_{p^k} lives only in the point-count kernel (`counting`).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -149,6 +150,114 @@ def is_prime(n):
             f"{n} passes every base but is beyond the deterministic primality range (< {MILLER_RABIN_BOUND})"
         )
     return True
+
+
+# ---------------------------------------------------------------------------
+# integer factoring: one gcd against the small primes, then Brent's
+# cycle-finding rho
+
+TRIAL_DIVISION_BOUND = 10_000
+RHO_ITERATION_BUDGET = 1_000_000
+
+
+class UnfactoredError(ValueError):
+    pass
+
+
+def _small_primes(limit=TRIAL_DIVISION_BOUND):
+    sieve = bytearray(b"\x01") * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return [i for i in range(limit + 1) if sieve[i]]
+
+
+_SMALL_PRIMES = _small_primes()
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
+def _strip_small_primes(n):
+    """(exponents, c) for n > 0: the exponent of each prime <= TRIAL_DIVISION_BOUND
+    that divides n, in increasing order, and the cofactor c with no such prime
+    factor.  One gcd with the product of those primes gives the squarefree g
+    whose primes divide n; only g is trial-divided."""
+    exponents = {}
+    g = math.gcd(n, _SMALL_PRIMES_PRODUCT)
+    primes = iter(_SMALL_PRIMES)
+    while g > 1:
+        p = next(primes)
+        if p * p > g:
+            p = g  # g is squarefree, so what is left of it is one prime
+        if g % p:
+            continue
+        g //= p
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        exponents[p] = e
+    return exponents, n
+
+
+def _pollard_brent(n, budget):
+    """A nontrivial factor of composite odd n, or None if the budget runs out."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 20):
+        y, m = 2, 128
+        g, r, q = 1, 1, 1
+        spent = 0
+        while g == 1 and spent < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            spent += r
+            r *= 2
+        if g == n:
+            g = 1
+            y = ys
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(abs(x - y), n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def factorize(n, rho_budget=RHO_ITERATION_BUDGET):
+    """Prime factorization of |n| as a dict; raises UnfactoredError past the
+    rho budget or on a cofactor beyond the exact range of is_prime."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    out, c = _strip_small_primes(n)
+    stack = [c] if c > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        try:
+            prime = is_prime(m)
+        except ValueError as exc:
+            raise UnfactoredError(f"cannot certify the factors of {m}: {exc}") from exc
+        if prime:
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = _pollard_brent(m, rho_budget)
+        if f is None or f in (1, m):
+            raise UnfactoredError(f"factoring budget exceeded on {m}")
+        stack.append(f)
+        stack.append(m // f)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,6 @@ class OddCoveringMaps:
     lies on the normalized twist y^2 = x^3 - A d^2 x + A d^3.
     """
 
-    A: object
     f1: CoveringMap
     f2: CoveringMap
 
@@ -360,5 +359,4 @@ class OddCoveringMaps:
 
 def odd_covering_maps(A):
     """The odd covers for a concrete rational A."""
-    A = Fraction(A)
-    return OddCoveringMaps(A, *covering_maps(A))
+    return OddCoveringMaps(*covering_maps(Fraction(A)))

@@ -2,8 +2,21 @@
 
 F_{p^k} is F_p[x]/(g) for a primitive modulus g (`find_irreducible`): the
 class of x generates F_q^*, and it is the only F_{p^k} arithmetic here.  It
-gives two int32 tables over packed elements (base-p digits, the constant term
-as the top digit): exp[i] = x^i for 0 <= i < q - 1, and its inverse log.
+gives two int32 tables over packed elements: exp[i] = x^i for
+0 <= i < q - 1, and its inverse log.  An element y packs as the base-p
+digits (L(y), L(x y), ..., L(x^(k-1) y)), top digit first, where L(y) is the
+constant coefficient of y mod g.  These k values of the linear map L
+determine y (an element y != 0 with L(x^j y) = 0 for all j < k would make L
+vanish on the whole field), and L(x^j) = 0 for 0 < j < k, so c in F_p packs
+as c p^(k-1).
+
+In these window coordinates x^i is the window s_i .. s_(i+k-1) of the one
+sequence s_i = L(x^i), which recurs with characteristic polynomial g:
+s_(i+k) = -sum_j g_j s_(i+j) (Lidl and Niederreiter, Finite Fields, ch. 8).
+Writing x^d = sum_j c_j x^j mod g gives the jump s_(i+d) = sum_j c_j s_(i+j),
+so each chunk of windows follows from the one before it with k multiply-adds
+and one reduction mod p per term.
+
 Horner's rule runs over many field elements t = x^i at once: multiplying acc
 by t is exp[(log[acc] + i) mod (q - 1)], with 0 kept as 0.  Adding a
 coefficient c of F_p adds c p^(k-1) mod q without a branch: the value
@@ -18,10 +31,10 @@ the orbit's length, so Horner's work over F_{p^k} drops to about 1/k.
 
 The tables take 8 bytes per field element: 3 MB at 13^5, 48 MB at the default
 budget of 6e6 elements.  Each count builds its field's tables and drops them
-when it returns, and Horner runs in chunks, so memory stays flat.  Everything
-is deterministic, including the field presentation (modulus seed 0), and the
-seed cannot change a count.  numpy is imported inside the kernel, so commands that never count
-points never load it.
+when it returns, and both the table build and Horner run in chunks, so memory
+stays flat.  Everything is deterministic, including the field presentation
+(modulus seed 0), and the seed cannot change a count.  numpy is imported
+inside the kernel, so commands that never count points never load it.
 """
 
 from __future__ import annotations
@@ -29,8 +42,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .algebra import is_prime
-from .twists import factorize
+from .algebra import factorize, is_prime
 
 MAX_FIELD_SIZE = 6_000_000
 _CHUNK = 1 << 14
@@ -76,6 +88,13 @@ def _powmod(a, e, g, p):
     return acc
 
 
+@lru_cache(maxsize=128)
+def _prime_divisors(n):
+    """The primes dividing n > 0, cached: each field factors p - 1 and
+    p^k - 1 once, not once per drawn modulus."""
+    return tuple(factorize(n))
+
+
 def _x_is_primitive(g, p):
     """True when x has order exactly q - 1 = p^k - 1 in R = F_p[x]/(g):
     x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime r | q - 1.
@@ -87,21 +106,31 @@ def _x_is_primitive(g, p):
     n = p**k - 1
     one = [1] + [0] * (k - 1)
     return _powmod([0, 1], n, g, p) == one and all(
-        _powmod([0, 1], n // r, g, p) != one for r in factorize(n)
+        _powmod([0, 1], n // r, g, p) != one for r in _prime_divisors(n)
     )
+
+
+def _norm_generates(g, p):
+    """True when (-1)^k g(0) generates F_p^*.  For irreducible g that is the
+    norm of x, x^(1 + p + ... + p^(k-1)), and the norm F_{p^k}^* -> F_p^* is
+    onto, so every g whose x generates F_{p^k}^* passes: the screen costs one
+    pow per prime factor of p - 1 and rejects no g that `_x_is_primitive`
+    accepts.  For k = 1, x = -g(0) and the screen is the whole order test."""
+    norm = (-1) ** (len(g) - 1) * g[0] % p
+    return norm != 0 and all(pow(norm, (p - 1) // r, p) != 1 for r in _prime_divisors(p - 1))
 
 
 def find_irreducible(p, k, seed=0):
     """A primitive monic degree-k polynomial g over F_p, as its ascending
     coefficients: random monic g are drawn from the seeded RNG until
-    `_x_is_primitive` accepts one.  So g is irreducible, and x generates
-    F_{p^k}^*."""
+    `_x_is_primitive` accepts one, with `_norm_generates` screening the
+    draws first.  So g is irreducible, and x generates F_{p^k}^*."""
     if p <= 3 or not is_prime(p) or k < 1:
         raise ValueError(f"need a prime p > 3 and k >= 1, got p={p}, k={k}")
     rng = random.Random(seed)
     while True:
         g = tuple(rng.randrange(p) for _ in range(k)) + (1,)
-        if g[0] and _x_is_primitive(g, p):
+        if _norm_generates(g, p) and (k == 1 or _x_is_primitive(g, p)):
             return g
 
 
@@ -115,8 +144,27 @@ def field_modulus(p, k, seed=0):
 # field tables
 
 
+def _jump(s, c, p):
+    """sum_j c_j s[j : j + len(s) - k + 1] mod p, k = len(c).  For c = x^d
+    mod g and s = s_i .. s_(i+w+k-2), that is s_(i+d) .. s_(i+d+w-1), since
+    s_(n+d) = L(x^d x^n) = sum_j c_j s_(n+j)."""
+    w = len(s) - len(c) + 1
+    out = c[0] * s[:w]
+    for j in range(1, len(c)):
+        out += c[j] * s[j : j + w]
+    return out % p
+
+
+def _next_windows(np, s, c, p):
+    """The w windows after those in s = s_i .. s_(i+w+k-2), for c = x^w mod g
+    and w >= 2k - 2: the terms s_(i+w) .. s_(i+2w+k-2).  The first w come
+    from s, the last k - 1 from the first 2k - 2 of those."""
+    head = _jump(s, c, p)
+    return np.concatenate([head, _jump(head[: 2 * len(c) - 2], c, p)])
+
+
 def _tables(p, k, seed):
-    """(exp, log) for F_{p^k}."""
+    """(exp, log) for F_{p^k}, in window coordinates."""
     import numpy as np
 
     q = p**k
@@ -124,28 +172,32 @@ def _tables(p, k, seed):
         raise CountingBudgetError(f"field size {p}^{k} = {q} exceeds the int32 tables")
     g = field_modulus(p, k, seed)
     n = q - 1
-    # digits(a * x) = digits(a) @ step, the companion matrix of g: row j
-    # holds the digits of x^(j+1)
-    step = np.eye(k, k, 1, dtype=np.int64)
-    step[-1] = [-c % p for c in g[:k]]
-    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     m = min(n, _CHUNK)
-    # first block x^0 .. x^(m-1) by doubling; `power` ends as step^m whenever
-    # a second block is needed (then m = _CHUNK, a power of two)
-    block = np.zeros((1, k), dtype=np.int64)
-    block[0, 0] = 1
-    power = step
-    while len(block) < m:
-        block = np.vstack([block, block @ power % p])[:m]
-        power = power @ power % p
+    # the first w windows, w a power of two >= 2k - 2, from the recurrence
+    # s_(i+k) = -sum_j g_j s_(i+j); then doubled up to the m windows of the
+    # first chunk.  The least power of two >= m is at most _CHUNK, so when a
+    # second chunk is needed, w = m and c = x^m is the step between chunks.
+    w = 1 << max(0, 2 * k - 3).bit_length()
+    s = [1] + [0] * (k - 1)
+    while len(s) < w + k - 1:
+        s.append(-sum(gj * sj for gj, sj in zip(g, s[-k:])) % p)
+    s = np.array(s, dtype=np.int64)
+    c = _powmod([0, 1], w, g, p)
+    while w < m:
+        s = np.concatenate([s[:w], _next_windows(np, s, c, p)])
+        w, c = 2 * w, _mulmod(c, c, g, p)
+    s = s[: m + k - 1]
     exp = np.empty(n, dtype=np.int32)
     log = np.zeros(q, dtype=np.int32)  # log[0] = 0 is a placeholder
     for lo in range(0, n, m):
         hi = min(lo + m, n)
-        packed = block[: hi - lo] @ weights
+        packed = s[: hi - lo]
+        for j in range(1, k):
+            packed = packed * p + s[j : j + hi - lo]
         exp[lo:hi] = packed
         log[packed] = np.arange(lo, hi, dtype=np.int32)
-        block = block @ power % p
+        if hi < n:
+            s = _next_windows(np, s, c, p)
     return exp, log
 
 

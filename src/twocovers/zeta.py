@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fp, Poly, is_prime, poly_divmod, quadratic_character, squarefree
+from .algebra import Fp, Poly, factorize, is_prime, poly_divmod, quadratic_character, squarefree
 from .constructions import build_family, build_thm1
 from .counting import (
     MAX_FIELD_SIZE,
@@ -27,7 +27,6 @@ from .counting import (
     affine_count_rhs,
     affine_count_space,
 )
-from .twists import factorize
 
 
 class CountingBugError(ValueError):
@@ -66,20 +65,30 @@ def _reduce_rhs(model, p):
 
 def is_good_prime(A, p, B=None):
     """p > 3 at which every model of the family (and, when B is given, both
-    cubics of the space curve) passes the mod-p gate _reduce_rhs."""
+    cubics of the space curve) passes the mod-p gate _reduce_rhs.
+
+    In closed form, with A = a/b in lowest terms: p is good iff p does not
+    divide a b (4a - 27b), nor, when B is given, den(B) num(4A^3 - 27B^2).
+    Every coefficient denominator divides a power of b, den(B) and 2, the
+    leading coefficients are 1 or A, and the discriminants are, up to signs
+    and powers of 2 and 3, A^2 (4A - 27) (E, E' and D), A^8 (4A - 27)^5 (H),
+    A^4 (4A - 27)^4 (H1), A^4 (4A - 27)^2 (H2), 4A^3 - 27B^2 (the cubic) and
+    A^6 (4A^3 - 27B^2) (the auxiliary cubic); tools/identity_oracle.py,
+    item 11, derives them.  The degenerate parameters raise the model
+    builders' errors."""
     if p <= 3 or not is_prime(p):
         return False
-    fam = build_family(Fraction(A))
-    models = [fam.E, fam.Eprime, fam.D, fam.H, fam.H1, fam.H2]
+    A = Fraction(A)
+    if not A or 4 * A == 27:
+        build_family(A)  # raises: A = 0, or E is singular
+    a, b = A.numerator, A.denominator
+    bad = a * b * (4 * a - 27 * b)
     if B is not None:
-        c = build_thm1(Fraction(A), Fraction(B))
-        models += [c.cubic, c.aux_cubic]
-    try:
-        for model in models:
-            _reduce_rhs(model, p)
-    except BadPrimeError:
-        return False
-    return True
+        B = Fraction(B)
+        if 4 * A**3 == 27 * B**2:
+            build_thm1(A, B)  # raises: the cubic is singular
+        bad *= B.denominator * (4 * A**3 - 27 * B**2).numerator
+    return bad % p != 0
 
 
 def good_primes(A, bound, B=None):
@@ -90,19 +99,35 @@ def good_primes(A, bound, B=None):
 # counts
 
 
-def count_hyperelliptic(model, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
-    """#C(F_{p^k}) for the smooth model of y^2 = f(x), f a Poly or any
-    model's rhs_poly(): the affine count plus 1 point at infinity for odd
-    deg f, plus 1 + chi(leading coeff) for even deg f."""
-    coeffs = _reduce_rhs(model, p)
+def _count_reduced(coeffs, p, k, max_field_size, seed):
+    """#C(F_{p^k}) for y^2 = f(x), from the coefficients _reduce_rhs gives."""
     affine = affine_count_rhs(coeffs, p, k, max_field_size, seed)
     if len(coeffs) % 2 == 0:  # odd degree
         return affine + 1
     return affine + 1 + quadratic_character(coeffs[-1], p) ** k
 
 
+def count_hyperelliptic(model, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
+    """#C(F_{p^k}) for the smooth model of y^2 = f(x), f a Poly or any
+    model's rhs_poly(): the affine count plus 1 point at infinity for odd
+    deg f, plus 1 + chi(leading coeff) for even deg f."""
+    return _count_reduced(_reduce_rhs(model, p), p, k, max_field_size, seed)
+
+
 # A public name, and perfbench/layers.py wraps it: the cubic is one more y^2 = f(x).
 count_weierstrass = count_hyperelliptic
+
+
+def _reduce_space_curve(c, p):
+    """(cubic, disc) mod p for the space curve c: the cubic through the gate,
+    and the z-fiber discriminant 4A - 3x^2."""
+    return _reduce_rhs(c.cubic, p), [4 * _mod_p(c.A, p) % p, 0, (-3) % p]
+
+
+def _count_space_reduced(cubic, disc, p, k, max_field_size, seed):
+    """#C(F_{p^k}) for the space curve, from what _reduce_space_curve gives."""
+    affine = affine_count_space(cubic, disc, p, k, max_field_size, seed)
+    return affine + 1 + quadratic_character(-3, p) ** k
 
 
 def count_space_curve(A, B, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
@@ -110,11 +135,8 @@ def count_space_curve(A, B, p, k=1, max_field_size=MAX_FIELD_SIZE, seed=0):
     x^2 + xz + z^2 = A}, counted through the degree-2 projection
     (x, y, z) -> (x, y) whose z-fiber has discriminant 4A - 3x^2; the two
     points over infinity are rational iff -3 is a square."""
-    c = build_thm1(Fraction(A), Fraction(B))
-    cubic = _reduce_rhs(c.cubic, p)
-    disc = [4 * _mod_p(A, p) % p, 0, (-3) % p]
-    affine = affine_count_space(cubic, disc, p, k, max_field_size, seed)
-    return affine + 1 + quadratic_character(-3, p) ** k
+    cubic, disc = _reduce_space_curve(build_thm1(Fraction(A), Fraction(B)), p)
+    return _count_space_reduced(cubic, disc, p, k, max_field_size, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +273,11 @@ def lpoly_irreducible_over_Z(L):
 
 def lpoly_hyperelliptic(model, p, max_field_size=MAX_FIELD_SIZE, seed=0):
     """L-polynomial of y^2 = f(x), f a Poly or any model's rhs_poly(), from
-    the counts over F_{p^k} for k = 1..g, g = (deg f - 1) // 2."""
-    f = _rhs(model)
-    genus = (f.degree - 1) // 2
-    counts = [count_hyperelliptic(f, p, k, max_field_size, seed) for k in range(1, genus + 1)]
+    the counts over F_{p^k} for k = 1..g, g = (deg f - 1) // 2; f passes the
+    mod-p gate once, not once per k."""
+    coeffs = _reduce_rhs(model, p)
+    genus = (len(coeffs) - 2) // 2
+    counts = [_count_reduced(coeffs, p, k, max_field_size, seed) for k in range(1, genus + 1)]
     return LPolynomial.from_counts(p, counts)
 
 
@@ -263,7 +286,8 @@ lpoly_weierstrass = lpoly_hyperelliptic
 
 
 def lpoly_space_curve(A, B, p, max_field_size=MAX_FIELD_SIZE, seed=0):
-    counts = [count_space_curve(A, B, p, k, max_field_size, seed) for k in range(1, 4)]
+    cubic, disc = _reduce_space_curve(build_thm1(Fraction(A), Fraction(B)), p)
+    counts = [_count_space_reduced(cubic, disc, p, k, max_field_size, seed) for k in range(1, 4)]
     return LPolynomial.from_counts(p, counts)
 
 
@@ -312,6 +336,7 @@ def check_remarks(A, primes, B=None, max_field_size=MAX_FIELD_SIZE, seed=0):
     consistency of the space curve against its two cubic factors."""
     A = Fraction(A)
     fam = build_family(A)
+    c = None if B is None else build_thm1(A, Fraction(B))
     results = []
     skipped = []
     for p in primes:
@@ -339,9 +364,9 @@ def check_remarks(A, primes, B=None, max_field_size=MAX_FIELD_SIZE, seed=0):
         if (LE * LF).coeffs != LH1.coeffs:
             raise CountingBugError(f"p = {p}: L of the genus-3 quotient differs from L_E * L_F")
 
-        if B is not None:
-            c = build_thm1(A, Fraction(B))
-            n = count_space_curve(A, B, p, 1, max_field_size, seed)
+        if c is not None:
+            cubic, disc = _reduce_space_curve(c, p)
+            n = _count_space_reduced(cubic, disc, p, 1, max_field_size, seed)
             aE = p + 1 - count_hyperelliptic(c.cubic, p, 1, max_field_size, seed)
             aEp = p + 1 - count_hyperelliptic(c.aux_cubic, p, 1, max_field_size, seed)
             predicted = p + 1 - (2 * aE + aEp)

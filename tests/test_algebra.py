@@ -15,13 +15,18 @@ from twocovers.algebra import (
     quadratic_character,
     reduce_mod_ideal,
 )
+from twocovers import counting
 from twocovers.counting import (
     _frobenius_orbits,
+    _norm_generates,
     _powmod,
     _tables,
     _x_is_primitive,
     find_irreducible,
 )
+
+# fields of more than one chunk of counting._CHUNK = 2^14 table entries
+MULTI_CHUNK_FIELDS = ((7, 6), (13, 4), (131, 2))
 
 
 def P(*coeffs):
@@ -201,6 +206,12 @@ def _x_power(e, g, p):
     return _powmod([0, 1], e, g, p)
 
 
+def _assert_tables_biject(p, k, seed):
+    exp, log = _tables(p, k, seed)
+    assert sorted(exp.tolist()) == list(range(1, p**k)), (p, k, seed)
+    assert log[exp].tolist() == list(range(p**k - 1)), (p, k, seed)
+
+
 def _ints(poly):
     return tuple(c.value for c in poly.coeffs)
 
@@ -267,12 +278,73 @@ class TestFindIrreducible:
         assert not _x_is_primitive(g, 7)
 
     def test_exp_table_hits_every_nonzero_element_once(self):
-        # x generates F_q^* under every drawn modulus
+        # x generates F_q^* under every drawn modulus; the last three fields
+        # span several chunks, so each chunk's jump from the one before is
+        # checked too
         fields = ((5, 1), (7, 1), (5, 2), (7, 2), (5, 3), (7, 3), (11, 2), (5, 4))
-        for (p, k), seed in itertools.product(fields, range(3)):
-            exp, log = _tables(p, k, seed)
-            assert sorted(exp.tolist()) == list(range(1, p**k)), (p, k, seed)
-            assert log[exp].tolist() == list(range(p**k - 1)), (p, k, seed)
+        for (p, k), seed in itertools.product(fields + MULTI_CHUNK_FIELDS, range(3)):
+            _assert_tables_biject(p, k, seed)
+
+    @pytest.mark.parametrize("p, k", MULTI_CHUNK_FIELDS)
+    def test_jump_by_the_wrong_power_is_caught(self, monkeypatch, p, k):
+        # a chunk reached from the one before by x^(m + 1) instead of x^m
+        # skips an element and repeats another
+        g = find_irreducible(p, k, 0)
+        real = counting._next_windows
+
+        def off_by_one(np, s, c, p):
+            if len(s) - len(c) + 1 == counting._CHUNK:  # a step between chunks
+                c = counting._mulmod(c, [0, 1], g, p)
+            return real(np, s, c, p)
+
+        monkeypatch.setattr(counting, "_next_windows", off_by_one)
+        with pytest.raises(AssertionError):
+            _assert_tables_biject(p, k, 0)
+
+    def test_exp_entries_are_windows_of_one_sequence(self):
+        # the digits of exp[i], top first, are the constant coefficients of
+        # x^i, ..., x^(i+k-1) mod g; an element c of F_p packs as c p^(k-1),
+        # so its log is a multiple of (q - 1)/(p - 1)
+        rng = random.Random(5)
+        for p, k in ((5, 3), (7, 4), (13, 5)) + MULTI_CHUNK_FIELDS:
+            g = find_irreducible(p, k, 0)
+            q = p**k
+            exp, log = _tables(p, k, 0)
+            for i in [0, 1, q - 2] + [rng.randrange(q - 1) for _ in range(20)]:
+                digits = [int(exp[i]) // p ** (k - 1 - j) % p for j in range(k)]
+                assert digits == [_x_power(i + j, g, p)[0] for j in range(k)], (p, k, i)
+            for c in range(1, p):
+                assert log[c * p ** (k - 1)] % ((q - 1) // (p - 1)) == 0, (p, k, c)
+
+    def test_frozen_moduli(self):
+        # the presentations drawn before the norm screen existed: the screen
+        # rejects only draws the order test rejects, so none may move
+        frozen = {
+            (7, 2, 0): (3, 6, 1),
+            (7, 2, 1): (3, 6, 1),
+            (7, 2, 2): (5, 3, 1),
+            (7, 2, 3): (3, 5, 1),
+            (13, 5, 0): (7, 5, 9, 3, 8, 1),
+            (397, 2, 0): (215, 20, 1),
+            (7, 6, 0): (3, 2, 4, 1, 4, 1, 1),
+        }
+        for (p, k, seed), g in frozen.items():
+            assert find_irreducible(p, k, seed) == g, (p, k, seed)
+
+    @pytest.mark.parametrize("p, k", ((5, 2), (7, 2), (5, 3), (11, 2), (7, 1), (13, 1)))
+    def test_norm_screen_keeps_every_primitive_modulus(self, p, k):
+        # over every monic g of degree k: the order test implies the screen,
+        # which for k = 1 is the order test itself
+        kept = rejected = 0
+        for low in itertools.product(range(p), repeat=k):
+            g = low + (1,)
+            if _x_is_primitive(g, p):
+                assert _norm_generates(g, p), g
+                kept += 1
+            else:
+                rejected += not _norm_generates(g, p)
+                assert k > 1 or not _norm_generates(g, p), g
+        assert kept and rejected
 
 
 class TestFrobeniusOrbits:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twocovers import twists
+from twocovers import algebra, twists
 from twocovers.algebra import MILLER_RABIN_BOUND, Poly
 from twocovers.constructions import genus5_poly, odd_covering_maps
 from twocovers.curves import CubicModel, CurveError, ECPoint, ec_add, ec_neg, ec_scalar, on_curve
@@ -74,11 +74,11 @@ class TestFactorize:
 
     def test_small_prime_strip(self):
         n = 2**5 * 3 * 9973**2 * 10007
-        assert twists._strip_small_primes(n) == ({2: 5, 3: 1, 9973: 2}, 10007)
+        assert algebra._strip_small_primes(n) == ({2: 5, 3: 1, 9973: 2}, 10007)
         # the gcd is 2 * 9973: its last prime is read off once p^2 exceeds it
-        assert twists._strip_small_primes(2 * 9973) == ({2: 1, 9973: 1}, 1)
-        assert twists._strip_small_primes(10007 * 10009) == ({}, 10007 * 10009)
-        assert twists._strip_small_primes(1) == ({}, 1)
+        assert algebra._strip_small_primes(2 * 9973) == ({2: 1, 9973: 1}, 1)
+        assert algebra._strip_small_primes(10007 * 10009) == ({}, 10007 * 10009)
+        assert algebra._strip_small_primes(1) == ({}, 1)
 
 
 class TestSquarefreePart:
@@ -115,7 +115,7 @@ class TestLargePrimeCofactors:
 
     def test_primes_above_bound(self):
         assert TRIAL_DIVISION_BOUND == 10_000 < min(Q, R, S)
-        assert all(twists.is_prime(p) for p in (Q, R, S, 99999989))
+        assert all(algebra.is_prime(p) for p in (Q, R, S, 99999989))
 
     @pytest.mark.parametrize(
         "v, expected",

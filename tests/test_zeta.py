@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from twocovers import counting
-from twocovers.algebra import Fp, Poly, poly_divmod, quadratic_character
+from twocovers.algebra import Fp, Poly, is_prime, poly_divmod, quadratic_character
 from twocovers.constructions import build_family, build_thm1
 from twocovers.counting import (
     BadPrimeError,
@@ -17,10 +17,11 @@ from twocovers.counting import (
     affine_count_space,
     field_modulus,
 )
-from twocovers.curves import CubicModel, HyperellipticModel
+from twocovers.curves import CubicModel, CurveError, HyperellipticModel, SingularModelError
 from twocovers.zeta import (
     CountingBugError,
     _mod_p,
+    _reduce_rhs,
     LPolynomial,
     check_remarks,
     count_hyperelliptic,
@@ -230,6 +231,50 @@ class TestGoodPrimes:
     def test_thm1_good_primes(self):
         assert good_primes(F(1), 19, B=F(1)) == [5, 7, 11, 13, 17, 19]
         assert not is_good_prime(F(1), 23, B=F(1))  # 23 | disc
+
+    def test_closed_form_matches_the_model_gate(self):
+        # is_good_prime's rule against _reduce_rhs run over the six family
+        # models and the two theorem-1 cubics, for A = n/m, 0 < |n| <= 12,
+        # every prime below 120 and four values of B; each factor of the
+        # rule must be the only reason for some bad prime
+        def passes(models, p):
+            try:
+                for model in models:
+                    _reduce_rhs(model, p)
+            except BadPrimeError:
+                return False
+            return True
+
+        primes = [p for p in range(120) if is_prime(p)]
+        caught = set()
+        for A in {F(n, m) for n in range(-12, 13) if n for m in (1, 2, 3, 4, 5, 7, 9)}:
+            fam = build_family(A)
+            family = [fam.E, fam.Eprime, fam.D, fam.H, fam.H1, fam.H2]
+            family_good = {p: p > 3 and passes(family, p) for p in primes}
+            for B in (None, F(1), F(3, 5), F(-7, 11)):
+                if B is not None and 4 * A**3 == 27 * B**2:
+                    continue
+                c = None if B is None else build_thm1(A, B)
+                cubics = [] if c is None else [c.cubic, c.aux_cubic]
+                factors = {"a": A.numerator, "b": A.denominator, "4a - 27b": 4 * A.numerator - 27 * A.denominator}
+                if B is not None:
+                    factors.update({"den B": B.denominator, "4A^3 - 27B^2": (4 * A**3 - 27 * B**2).numerator})
+                for p in primes:
+                    good = family_good[p] and passes(cubics, p)
+                    assert is_good_prime(A, p, B=B) == good, (A, B, p)
+                    reasons = [name for name, v in factors.items() if v % p == 0]
+                    if p > 3 and len(reasons) == 1:
+                        caught.add(reasons[0])
+        assert caught == {"a", "b", "4a - 27b", "den B", "4A^3 - 27B^2"}
+
+    def test_degenerate_parameters_raise(self):
+        with pytest.raises(CurveError, match="A must be nonzero"):
+            is_good_prime(0, 7)
+        with pytest.raises(SingularModelError, match="A = 27/4: singular cubic model"):
+            is_good_prime(F(27, 4), 7)
+        with pytest.raises(SingularModelError, match="singular cubic model"):
+            is_good_prime(3, 7, B=2)  # 4 * 3^3 = 27 * 2^2
+        assert not is_good_prime(0, 3)  # p is checked first, as before
 
 
 @pytest.fixture(scope="module")

@@ -111,6 +111,13 @@ def main():
     out["disc_H1_octic"] = str(sp.factor(sp.discriminant((x**2 - 4) * genus2_rhs(x), x)))
     # with leading coefficient A, the degrees 12, 8, 6 and so the genera
     # 5, 3, 2 hold wherever A (4A - 27) != 0
+    # the theorem-1 cubic y^2 = x^3 - Ax + B and its auxiliary cubic
+    # y^2 = x^3 - 27B x^2 + 27A^3 x: with the rows above, these give the
+    # closed form of zeta.is_good_prime
+    out["disc_thm1_cubic"] = str(sp.factor(sp.discriminant(x**3 - A * x + B, x)))
+    out["disc_thm1_aux_cubic"] = str(
+        sp.factor(sp.discriminant(x**3 - 27 * B * x**2 + 27 * A**3 * x, x))
+    )
     out["leading_coeffs_h_H1_H2"] = [
         str(sp.Poly(f, x).LC()) for f in (genus5_rhs(), (x**2 - 4) * genus2_rhs(x), genus2_rhs(x))
     ]
