@@ -23,7 +23,6 @@ from .curves import (
     j_invariant,
     on_curve,
     quadratic_twist,
-    quartic_jacobian,
     twist_factor,
 )
 from .twists import census, growth_table, independence_screen, squarefree_part

@@ -15,7 +15,8 @@ auxiliary cubic y^2 = x^3 - 27B x^2 + 27A^3 x.
 
 The two degree-3 covers H -> D are t -> x(t) = -(t^3-1)/(t^4-1) resp.
 z(t) = t x(t), with sheet coordinate scaled by (t-1)^2/(8 (t^4-1)^2); each
-cover H -> E is the composite H -> D -> E with the Jacobian map of D.
+cover H -> E is the composite H -> D -> E with D_TO_E, one explicit
+isomorphism D -> E whose coefficients do not depend on A.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from .curves import (
     CurveError,
     ECPoint,
     HyperellipticModel,
-    QuarticJacobian,
     QuarticModel,
     SingularModelError,
     _ec_add_unchecked,
     ec_neg,
     quadratic_twist,
-    quartic_jacobian,
 )
 
 
@@ -52,6 +51,17 @@ class PoleError(CurveError):
 # cover, to (1, 1) (positive sheet) and to O (negative sheet); (1, 1) lies on
 # every member y^2 = x^3 - Ax + A of the family
 INFINITY_IMAGE = (Fraction(1), Fraction(1))
+
+# the isomorphism D -> E, (u, v) -> (xa(u) + xb(u) v, ya(u) + yb(u) v) with
+# xa = 8u^2 + 4u, xb = -8, ya = -32u^3 - 24u^2, yb = 32u + 8, the same for
+# every A (tools/identity_oracle.py, item 6).  It tends to INFINITY_IMAGE
+# along the branch v ~ +u^2 of D (item 9) and to O along v ~ -u^2.  Its
+# inverse is u = (X + Y)/(4(1 - X)), v = (xa(u) - X)/8, because
+# xa + ya = 4u(1 - xa) and xb + yb = -4u xb.
+D_TO_E = (
+    (Poly(map(Fraction, (0, 4, 8))), Poly(map(Fraction, (-8,)))),
+    (Poly(map(Fraction, (0, 0, -24, -32))), Poly(map(Fraction, (8, 32)))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +189,33 @@ class CoveringMap:
     """H -> E as the composite H -> D -> E of its two factors.
 
     The cover into the quartic model D is (t, w) -> (u, v) = (num/q,
-    w/(8 q^2)) with q = t^3+t^2+t+1; jacobian is the rescaled quartic-Jacobian
-    map D -> E, (u, v) -> (xa(u) + xb(u) v, ya(u) + yb(u) v).  These factors
-    are both what verify_maps_on_curve proves and what evaluate computes.
+    w/(8 q^2)) with q = t^3+t^2+t+1; jacobian is the map D -> E as the pair
+    ((xa, xb), (ya, yb)) of D_TO_E, and infinity_image its limit along
+    v ~ +u^2.  These factors are both what verify_maps_on_curve proves and
+    what evaluate computes.
     """
 
     name: str
-    A: object
     num: Poly
     q: Poly
     h: Poly
     target: CubicModel
     quartic: QuarticModel
-    jacobian: QuarticJacobian
+    jacobian: tuple = D_TO_E
+    infinity_image: tuple = INFINITY_IMAGE
 
     def map_coeffs(self, fn):
         """The same map with every coefficient sent through fn, e.g.
         reduction mod p; raises CurveError if a model degenerates."""
         return replace(
             self,
-            A=fn(self.A),
             num=self.num.map_coeffs(fn),
             q=self.q.map_coeffs(fn),
             h=self.h.map_coeffs(fn),
             target=CubicModel(*map(fn, self.target.coefficients())),
             quartic=QuarticModel(*map(fn, self.quartic.coefficients())),
-            jacobian=self.jacobian.map_coeffs(fn),
+            jacobian=tuple((a.map_coeffs(fn), b.map_coeffs(fn)) for a, b in self.jacobian),
+            infinity_image=tuple(map(fn, self.infinity_image)),
         )
 
     def quartic_point(self, t0, w0):
@@ -218,14 +229,16 @@ class CoveringMap:
         """Image on the target cubic of the curve point (t0, w0).
 
         Where q(t0) = 0, u has a pole and w0 = s 8 num(t0)^2 with s = +-1,
-        so v ~ s u^2: the point goes to the Jacobian's limit along the
-        branch v ~ +u^2 for s = 1 and to O for s = -1."""
+        so v ~ s u^2: the point goes to infinity_image for s = 1 and to O
+        for s = -1."""
         point = self.quartic_point(t0, w0)
         if point is not None:
-            return self.jacobian.apply(*point)
+            u, v = point
+            (xa, xb), (ya, yb) = self.jacobian
+            return ECPoint(xa(u) + xb(u) * v, ya(u) + yb(u) * v)
         top = 8 * self.num(t0) ** 2
         if w0 == top:
-            return ECPoint(*self.jacobian.infinity_image)
+            return ECPoint(*self.infinity_image)
         if w0 == -top:
             return ECPoint.zero()
         raise CurveError(f"({t0}, {w0}) is not a point of w^2 = h(t)")
@@ -238,7 +251,7 @@ class CoveringMap:
         if point is None:
             return None
         u0, v1 = point
-        (xa, xb), (ya, yb) = self.jacobian.x_map, self.jacobian.y_map
+        (xa, xb), (ya, yb) = self.jacobian
         return xa(u0), xb(u0) * v1, ya(u0), yb(u0) * v1
 
 
@@ -255,7 +268,8 @@ def family_identity_residual(A, h):
 def covering_maps(A):
     """The two degree-3 covers of the quartic, u = x(t) = -p/q for f1 and
     u = z(t) = -t p/q for f2 (p = t^2+t+1, q = t^3+t^2+t+1), each followed by
-    the Jacobian map into E.
+    D_TO_E into E.  That the composites land on E is proved by
+    verify.verify_maps_on_curve, not checked here.
 
     The sheet scaling w -> w (t-1)^2 / (8 (t^4-1)^2) = w / (8 q(t)^2) is
     re-validated against the defining identity at build time rather than
@@ -270,14 +284,8 @@ def covering_maps(A):
     p = t * t + t + 1
     q = t**3 + t * t + t + 1
 
-    jac = quartic_jacobian(fam.D).rescaled(Fraction(3, 2))
-    if jac.cubic != fam.E:
-        raise CurveError("rescaled quartic Jacobian does not match the target cubic")
-
     def cover(name, num):
-        return CoveringMap(
-            name=name, A=A, num=num, q=q, h=h, target=fam.E, quartic=fam.D, jacobian=jac
-        )
+        return CoveringMap(name=name, num=num, q=q, h=h, target=fam.E, quartic=fam.D)
 
     return cover("f1", -p), cover("f2", -(t * p))
 

@@ -1,8 +1,10 @@
-"""Curve models, elliptic group law, twists, and the quartic Jacobian.
+"""Curve models, invariants, the elliptic group law and quadratic twists.
 
 Cubic models are kept in medium Weierstrass form y^2 = x^3 + a2 x^2 + a4 x + a6
 (some of the auxiliary curves here have a2 != 0).  Coefficients can be
-Fractions, prime-field elements, or polynomials in a parameter.
+Fractions, prime-field elements, or polynomials in a parameter.  The one map
+from a quartic model to a cubic that the package needs, D -> E, is a constant
+of the family and lives in constructions.
 """
 
 from __future__ import annotations
@@ -316,101 +318,6 @@ def twist_factor(c1, c2):
     if c2.a4 != d * d * c1.a4 or c2.a6 != d * d * d * c1.a6:
         raise TwistMismatchError("models are not quadratic twists of each other")
     return d
-
-
-# ---------------------------------------------------------------------------
-# quartic -> Weierstrass (Jacobian)
-
-
-@dataclass(frozen=True)
-class QuarticJacobian:
-    """Binary-quartic invariants with the cubic y^2 = x^3 - 27I x - 27J and,
-    for monic quartics, the forward point map.
-
-    The map data is a pair of (polynomial in u, coefficient of v) entries:
-    each coordinate is poly(u) + coeff * v on v^2 = quartic(u).  The map
-    extends to the two points at infinity of the quartic: the one on the
-    branch v ~ -u^2 goes to O, the one on v ~ +u^2 to infinity_image.
-    """
-
-    I: object
-    J: object
-    cubic: CubicModel
-    x_map: tuple  # (Poly in u, v-coefficient Poly in u)
-    y_map: tuple
-    infinity_image: tuple  # (x, y), the limit of the map along v ~ +u^2
-
-    def apply(self, u, v):
-        """Image of a quartic point (u, v) on the -27I/-27J cubic."""
-        xa, xb = self.x_map
-        ya, yb = self.y_map
-        x = xa(u) + xb(u) * v
-        y = ya(u) + yb(u) * v
-        return ECPoint(x, y)
-
-    def _mapped(self, fx, fy):
-        """(x_map, y_map, infinity_image) with fx applied to every x-datum
-        and fy to every y-datum."""
-        xa, xb = self.x_map
-        ya, yb = self.y_map
-        x_inf, y_inf = self.infinity_image
-        return (
-            (xa.map_coeffs(fx), xb.map_coeffs(fx)),
-            (ya.map_coeffs(fy), yb.map_coeffs(fy)),
-            (fx(x_inf), fy(y_inf)),
-        )
-
-    def rescaled(self, mu):
-        """The model after (x, y) -> (x/mu^2, y/mu^3), with the composed map."""
-        inv = _one_like(mu) / mu
-        i2 = inv * inv
-        i3 = i2 * inv
-        i4 = i2 * i2
-        i6 = i4 * i2
-        cubic = CubicModel(self.cubic.a2 * i2, self.cubic.a4 * i4, self.cubic.a6 * i6)
-        mapped = self._mapped(lambda c: c * i2, lambda c: c * i3)
-        return QuarticJacobian(self.I, self.J, cubic, *mapped)
-
-    def map_coeffs(self, fn):
-        """Every coefficient sent through fn, e.g. reduction mod p."""
-        cubic = CubicModel(*map(fn, self.cubic.coefficients()))
-        return QuarticJacobian(fn(self.I), fn(self.J), cubic, *self._mapped(fn, fn))
-
-
-def quartic_invariants(q):
-    a, b, c, d, e = q.c4, q.c3, q.c2, q.c1, q.c0
-    I = 12 * a * e - 3 * b * d + c * c
-    J = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c**3
-    return I, J
-
-
-def quartic_jacobian(q):
-    """Invariants I, J plus the Jacobian cubic y^2 = x^3 - 27I x - 27J.
-
-    The forward point map is produced for monic quartics (which covers the
-    curves built here): writing v = u^2 + (b/2)u + s, the resolvent cubic in
-    x = -2s is y^2 = x^3 + c x^2 + (bd - 4e)x + (b^2 e + d^2 - 4ce), carried
-    to the -27I/-27J model by the scaling (x, y) -> (9(x + c/3), 27y).
-    """
-    I, J = quartic_invariants(q)
-    cubic = CubicModel(0 * I, -27 * I, -27 * J)
-    if q.c4 != _one_like(q.c4):
-        raise CurveError("point map implemented for monic quartics only")
-    b, c, d = q.c3, q.c2, q.c1
-    one = _one_like(b)
-    # resolvent coordinates: x_r = 2u^2 + bu - 2v,
-    # y_r = -4u^3 - 3bu^2 - 2cu - d + (4u + b) v
-    zero = b * 0
-    x_r = (Poly([zero, b, 2 * one]), Poly([-2 * one]))
-    y_r = (Poly([-d, -2 * c, -3 * b, -4 * one]), Poly([b, 4 * one]))
-    x_map = (9 * x_r[0] + Poly([3 * c]), 9 * x_r[1])
-    y_map = (27 * y_r[0], 27 * y_r[1])
-    # along v = +sqrt(quartic) = u^2 + (b/2)u + s0 + s1/u + O(1/u^2) the
-    # resolvent point tends to (-2 s0, 4 s1 + b s0 - d)
-    s0 = Fraction(1, 8) * (4 * c - b * b)
-    s1 = Fraction(1, 16) * (8 * d - 4 * b * c + b**3)
-    infinity_image = (9 * (-2 * s0) + 3 * c, 27 * (4 * s1 + b * s0 - d))
-    return QuarticJacobian(I, J, cubic, x_map, y_map, infinity_image)
 
 
 # ---------------------------------------------------------------------------

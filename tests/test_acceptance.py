@@ -2,22 +2,17 @@
 enforcing its stated runtime bound.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import dataclasses
 import time
 from fractions import Fraction as F
 
+from twocovers import verify
 from twocovers.algebra import Poly
 from twocovers.cli import main as cli_main
-from twocovers.constructions import build_family, genus5_poly
-from twocovers.curves import (
-    CubicModel,
-    QuarticModel,
-    on_curve,
-    quartic_invariants,
-    quartic_jacobian,
-    twist_factor,
-)
+from twocovers.constructions import D_TO_E, build_family, genus5_poly
+from twocovers.curves import CubicModel, on_curve
 from twocovers.twists import STATUS_INDEPENDENT, census, growth_table
-from twocovers.verify import verify_thm1, verify_thm2
+from twocovers.verify import verify_maps_on_curve, verify_thm1, verify_thm2
 from twocovers.zeta import (
     check_remarks,
     count_hyperelliptic,
@@ -85,19 +80,38 @@ def test_criterion_03_j_round_trip():
     _announce(3, f"100 exact j round trips ({elapsed:.2f}s)")
 
 
-def test_criterion_04_quartic_jacobian():
-    B = F(-27, 64)
-    q = QuarticModel(F(1), F(1), F(0), F(0), B)
-    I, J = quartic_invariants(q)
-    assert I == 12 * B and J == -27 * B
-    jac = quartic_jacobian(q)
-    assert jac.cubic == CubicModel(F(0), -324 * B, 729 * B)
-    scaled = jac.rescaled(F(3, 2))  # scale factor mu^2 = 9/4
-    A = 64 * B
-    E = CubicModel(F(0), -A, A)
-    assert scaled.cubic == E
-    assert twist_factor(E, scaled.cubic) == 1
-    _announce(4, "I = 12B, J = -27B; scaled Jacobian equals the target cubic, twist factor 1")
+def _d_is_e(jacobian, monkeypatch):
+    """Whether jacobian = ((xa, xb), (ya, yb)) is an isomorphism D -> E over
+    Q[A]: verify_maps_on_curve proves that the covers followed by it land on
+    E, and u = (X + Y)/(4(1 - X)), v = (xa(u) - X)/8 inverts it exactly when
+    xa + ya = 4u(1 - xa) and xb + yb = -4u xb in Q[u]."""
+    original = verify.covering_maps
+    monkeypatch.setattr(
+        verify,
+        "covering_maps",
+        lambda A: tuple(dataclasses.replace(f, jacobian=jacobian) for f in original(A)),
+    )
+    on_E = verify_maps_on_curve().passed
+    monkeypatch.setattr(verify, "covering_maps", original)
+    (xa, xb), (ya, yb) = jacobian
+    u = Poly.gen()
+    return on_E and xa + ya == 4 * u * (1 - xa) and xb + yb == -4 * u * xb
+
+
+def test_criterion_04_quartic_jacobian(monkeypatch):
+    # D: v^2 = u^4 + u^3 + A/64 is isomorphic to E: y^2 = x^3 - Ax + A for
+    # every A, through the one map D_TO_E
+    assert _d_is_e(D_TO_E, monkeypatch)
+    mutants = 0
+    for i, k in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        for n in range(len(D_TO_E[i][k].coeffs)):
+            mutant = [list(pair) for pair in D_TO_E]
+            coeffs = list(mutant[i][k].coeffs)
+            coeffs[n] += 1
+            mutant[i][k] = Poly(coeffs)
+            assert not _d_is_e(mutant, monkeypatch), (i, k, n)
+            mutants += 1
+    _announce(4, f"D_TO_E maps D onto E over Q[A] and inverts; {mutants} one-coefficient mutants fail")
 
 
 def test_criterion_05_remark2_decomposition():

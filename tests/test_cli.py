@@ -239,6 +239,15 @@ class TestInputValidation:
         assert err[0].endswith("--help)")
 
 
+    @pytest.mark.parametrize("A", ["27/4", "0"])
+    def test_degenerate_parameter_exit_2(self, A, capsys):
+        # build_family refuses both values before any check runs, so the
+        # 4A = 27 branch of verify_quotients is reachable only from the library
+        code, out, err = run_cli(["verify", "--A", A], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from twocovers import constructions
 from twocovers.algebra import Fp, Poly, is_prime
 from twocovers.constructions import (
+    D_TO_E,
     INFINITY_IMAGE,
     PoleError,
     UnsupportedJError,
@@ -270,17 +272,68 @@ class TestCoveringMaps:
                             g.evaluate(t0, w)
 
     def test_pole_limit_is_the_infinity_image(self):
-        # the image of the pole on the branch v ~ +u^2 is derived from the
-        # coefficients of D; it must agree with the oracle's constant
+        # the pole of u on the branch v ~ +u^2 goes to the oracle's constant,
+        # which lies on every member of the family, over Q[A] too; that it is
+        # the limit of D_TO_E there is TestDToE's numeric check
         for A in (F(-27), Poly.gen()):
             for f in covering_maps(A):
-                assert f.jacobian.infinity_image == INFINITY_IMAGE
+                assert f.jacobian == D_TO_E
+                assert f.infinity_image == INFINITY_IMAGE
+                assert on_curve(f.target, ECPoint(*f.infinity_image))
 
     def test_declared_degree(self):
         # the plane relation is z-cubic with unit leading coefficient
         rel = plane_relation_poly()
         assert rel.degree == 3
         assert rel.coeffs[3] == 1
+
+
+def _d_to_e(u, v):
+    (xa, xb), (ya, yb) = D_TO_E
+    return ECPoint(xa(u) + xb(u) * v, ya(u) + yb(u) * v)
+
+
+class TestDToE:
+    @pytest.mark.parametrize("A", [F(-27), F(1), F(8), F(7, 2), F(-3, 4)], ids=str)
+    def test_infinity_image_is_the_limit_on_the_plus_branch(self, A):
+        # the constant against the map at u = 10^6 on v = +sqrt(D(u)), v
+        # rounded to 20 decimals
+        D = build_family(A).D
+        u = F(10**6)
+        r = D.rhs(u)
+        v = F(math.isqrt(r.numerator * 10**40 // r.denominator), 10**20)
+        P = _d_to_e(u, v)
+        x_inf, y_inf = INFINITY_IMAGE
+        assert abs(P.x - x_inf) < F(1, 1000) and abs(P.y - y_inf) < F(1, 1000)
+
+    def test_map_lands_on_cubic_numeric(self):
+        # a rational point (u, v) lies on D for A = 64 (v^2 - u^4 - u^3); its
+        # image lies on E and u = (X + Y)/(4(1 - X)), v = (8u^2 + 4u - X)/8
+        # recover it
+        us = [F(0), F(1), F(-2), F(1, 3), F(-5, 2)]
+        for u, v in itertools.product(us, [F(1), F(-3, 4), F(7)]):
+            A = 64 * (v * v - u**4 - u**3)
+            P = _d_to_e(u, v)
+            assert on_curve(build_family(A).E, P)
+            u_back = (P.x + P.y) / (4 * (1 - P.x))
+            assert (u_back, (8 * u_back**2 + 4 * u_back - P.x) / 8) == (u, v)
+
+    def test_map_coeffs_commutes_with_evaluate(self):
+        p = 101
+
+        def field(c):
+            c = F(c)
+            return Fp(c.numerator, p) / c.denominator
+
+        f = covering_maps(F(-27))[0]
+        g = f.map_coeffs(field)
+        assert g.jacobian == tuple((a.map_coeffs(field), b.map_coeffs(field)) for a, b in D_TO_E)
+        assert g.infinity_image == (field(1), field(1))
+        for t0, w0 in ((F(0), F(3)), (F(2), F(5)), (F(1, 2), F(-7))):
+            P = f.evaluate(t0, w0)
+            assert g.evaluate(field(t0), field(w0)) == ECPoint(field(P.x), field(P.y))
+        # the pole t = -1 of u on the sheet w = 8 num(-1)^2 = 8
+        assert g.evaluate(field(-1), field(8)) == ECPoint(field(1), field(1))
 
 
 class TestQuotientMaps:
@@ -393,7 +446,7 @@ class TestOddCovers:
                 g = f.map_coeffs(to_fp)
                 E_p = g.target
                 t_p, w_p = to_fp(r.t), to_fp(y0) / root
-                R = g.jacobian.apply(*g.quartic_point(t_p, w_p))
+                R = g.evaluate(t_p, w_p)
                 T = ECPoint(*(to_fp(c) for c in INFINITY_IMAGE))
                 G = _ec_add_unchecked(E_p, _ec_add_unchecked(E_p, R, R), ec_neg(T))
                 d_p = to_fp(F(r.d))

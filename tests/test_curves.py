@@ -1,11 +1,10 @@
 import itertools
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from twocovers.algebra import Fp, Poly, reduce_mod_ideal
+from twocovers.algebra import Fp, Poly
 from twocovers.curves import (
     CubicModel,
     CurveError,
@@ -24,8 +23,6 @@ from twocovers.curves import (
     model_to_obj,
     on_curve,
     quadratic_twist,
-    quartic_invariants,
-    quartic_jacobian,
     twist_factor,
 )
 
@@ -196,102 +193,11 @@ class TestTwists:
 
 
 class TestQuarticJacobian:
-    def test_invariants_of_family_quartic(self):
-        B = F(3)
-        q = QuarticModel(F(1), F(1), F(0), F(0), B)
-        I, J = quartic_invariants(q)
-        assert I == 12 * B and J == -27 * B
-
-    def test_invariant_formulas_generic(self):
-        q = QuarticModel(F(1), F(2), F(3), F(4), F(5))
-        I, J = quartic_invariants(q)
-        a, b, c, d, e = F(1), F(2), F(3), F(4), F(5)
-        assert I == 12 * a * e - 3 * b * d + c * c
-        assert J == 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c**3
-
-    def test_jacobian_model_before_and_after_scaling(self):
-        B = F(2)
-        q = QuarticModel(F(1), F(1), F(0), F(0), B)
-        jac = quartic_jacobian(q)
-        assert jac.cubic == CubicModel(F(0), -324 * B, 729 * B)
-        scaled = jac.rescaled(F(3, 2))  # mu^2 = 9/4, mu^4 = 81/16
-        assert scaled.cubic == CubicModel(F(0), -64 * B, 64 * B)
-
+    # the quartic model D, whose Jacobian is E (the map itself is
+    # constructions.D_TO_E): a quartic with a repeated root is refused
     def test_singular_quartic_rejected(self):
         with pytest.raises(SingularModelError):
             QuarticModel(F(1), F(1), F(0), F(0), F(0))  # B = 0
-
-    def test_map_lands_on_cubic_numeric(self):
-        B = F(9)  # v = 3 at u = 0
-        q = QuarticModel(F(1), F(1), F(0), F(0), B)
-        jac = quartic_jacobian(q)
-        for u, v in [(F(0), F(3)), (F(0), F(-3)), (F(1), None), (F(-2), None)]:
-            if v is None:
-                rhs = q.rhs(u)
-                r = rhs.sqrt() if hasattr(rhs, "sqrt") else None
-                # pick points with square rhs only
-                num, den = rhs.numerator, rhs.denominator
-                import math
-
-                sn, sd = math.isqrt(num), math.isqrt(den)
-                if sn * sn != num or sd * sd != den:
-                    continue
-                v = F(sn, sd)
-            assert v * v == q.rhs(u)
-            P = jac.apply(u, v)
-            assert on_curve(jac.cubic, P)
-            scaled = jac.rescaled(F(3, 2))
-            assert on_curve(scaled.cubic, scaled.apply(u, v))
-
-    def test_map_lands_on_cubic_symbolic(self):
-        # over Q[B][u][v]: the image satisfies the cubic equation identically
-        B1 = Poly.gen()  # B
-        q = QuarticModel(1, 1, 0, 0, B1)
-        jac = quartic_jacobian(q)
-        u2 = Poly([Poly([]), Poly([F(1)])])  # u over Q[B]
-        rhs_u = u2**4 + u2**3 + Poly.const(B1)  # B lifted to the u-level
-        # level 3: polynomials in v over Q[B][u]
-        v3 = Poly([Poly([]), Poly([u2 * 0 + 1])])
-        xa, xb = jac.x_map
-        ya, yb = jac.y_map
-        X = Poly([xa(u2)]) + Poly([xb(u2)]) * v3
-        Y = Poly([ya(u2)]) + Poly([yb(u2)]) * v3
-        a4 = Poly([Poly([jac.cubic.a4])])
-        a6 = Poly([Poly([jac.cubic.a6])])
-        resid = Y * Y - (X * X * X + a4 * X + a6)
-        g = v3 * v3 - Poly([rhs_u])
-        assert not reduce_mod_ideal(resid, g)
-
-    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 9), (2, -3, 5, 7), (F(-1, 2), 4, F(1, 3), 11)])
-    def test_infinity_image_is_the_limit_on_the_plus_branch(self, coeffs):
-        # the closed form against the map at u = 10^6 on v = +sqrt(quartic(u)),
-        # v rounded to 20 decimals, before and after rescaling; the limit
-        # lies on the cubic
-        b, c, d, e = (F(x) for x in coeffs)
-        q = QuarticModel(F(1), b, c, d, e)
-        u = F(10**6)
-        r = q.rhs(u)
-        v = F(math.isqrt(r.numerator * 10**40 // r.denominator), 10**20)
-        for jac in (quartic_jacobian(q), quartic_jacobian(q).rescaled(F(3, 2))):
-            x_inf, y_inf = jac.infinity_image
-            assert on_curve(jac.cubic, ECPoint(x_inf, y_inf))
-            P = jac.apply(u, v)
-            assert abs(P.x - x_inf) < F(1, 1000) and abs(P.y - y_inf) < F(1, 1000)
-
-    def test_map_coeffs_commutes_with_apply(self):
-        p = 101
-
-        def field(c):
-            c = F(c)
-            return Fp(c.numerator, p) / c.denominator
-
-        q = QuarticModel(F(1), F(1), F(0), F(0), F(9))
-        jac = quartic_jacobian(q).rescaled(F(3, 2))
-        red = jac.map_coeffs(field)
-        assert red.cubic == CubicModel(*(field(c) for c in jac.cubic.coefficients()))
-        assert red.infinity_image == tuple(field(c) for c in jac.infinity_image)
-        P = jac.apply(F(0), F(3))
-        assert red.apply(field(0), field(3)) == ECPoint(field(P.x), field(P.y))
 
 
 class TestGenus:

@@ -79,15 +79,17 @@ class TestMapsOnCurve:
         assert not r.passed
 
     def test_perturbed_jacobian_fails(self, monkeypatch):
-        # one y-map coefficient of the Jacobian map D -> E off by one
-        original = constructions.quartic_jacobian
+        # one y-map coefficient of the map D -> E off by one
+        original = verify.covering_maps
 
-        def perturbed(q):
-            jac = original(q)
-            ya, yb = jac.y_map
-            return dataclasses.replace(jac, y_map=(ya + 1, yb))
+        def perturbed(A):
+            out = []
+            for f in original(A):
+                x_map, (ya, yb) = f.jacobian
+                out.append(dataclasses.replace(f, jacobian=(x_map, (ya + 1, yb))))
+            return tuple(out)
 
-        monkeypatch.setattr(constructions, "quartic_jacobian", perturbed)
+        monkeypatch.setattr(verify, "covering_maps", perturbed)
         for A in (None, F(-27)):
             r = verify_maps_on_curve(A)
             assert not r.passed and "Jacobian" in r.witness
@@ -120,14 +122,13 @@ class TestIndependence:
         assert not r.passed and "4 + (-1) w" in r.witness
 
     def test_negated_cover_fails(self, monkeypatch):
-        # -f1 negates the y-map of the Jacobian map and keeps its x-map
+        # -f1 negates the y-map of the map D -> E and keeps its x-map
         original = verify.covering_maps
 
         def negated(A):
             f1, _ = original(A)
-            ya, yb = f1.jacobian.y_map
-            minus = dataclasses.replace(f1.jacobian, y_map=(-ya, -yb))
-            return f1, dataclasses.replace(f1, name="-f1", jacobian=minus)
+            x_map, (ya, yb) = f1.jacobian
+            return f1, dataclasses.replace(f1, name="-f1", jacobian=(x_map, (-ya, -yb)))
 
         monkeypatch.setattr(verify, "covering_maps", negated)
         r = verify_independence(F(-27))
@@ -196,9 +197,8 @@ class TestSuite:
                     w0 = Fp(wv, p)
                     if w0 * w0 != hv:
                         continue
-                    point = g.quartic_point(t0, w0)
-                    if point is None:
+                    if g.quartic_point(t0, w0) is None:
                         continue
-                    P = g.jacobian.apply(*point)
+                    P = g.evaluate(t0, w0)
                     assert P.y * P.y == P.x**3 - Afp * P.x + Afp
             done += 1

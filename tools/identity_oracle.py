@@ -65,13 +65,21 @@ def main():
     out["parametrization_on_F"] = sp.simplify(F.subs({x: xt, z: zt})) == 0
     out["F_poly_in_z_coeffs"] = [str(sp.expand(sp.Poly(F, z).coeff_monomial(z**i))) for i in range(4)]
 
-    # 6. quartic-to-cubic map lands on y^2 = x^3 - 64B x + 64B, and the
-    #    intermediate resolvent identity
-    xe = 8 * u**2 + 4 * u - 8 * v
-    ye = 8 * (v * (4 * u + 1) - 4 * u**3 - 3 * u**2)
+    # 6. the map D -> E, (u, v) -> (xa + xb v, ya + yb v), lands on
+    #    y^2 = x^3 - 64B x + 64B, and u = (X + Y)/(4(1 - X)),
+    #    v = (xa - X)/8 inverts it: X + Y = 4u(1 - X) identically in u, v
+    xa, xb = 8 * u**2 + 4 * u, sp.Integer(-8)
+    ya, yb = -32 * u**3 - 24 * u**2, 32 * u + 8
+    xe = xa + xb * v
+    ye = ya + yb * v
+    out["quartic_map_coeffs_low_to_high"] = {
+        name: [str(c) for c in reversed(sp.Poly(part, u).all_coeffs())]
+        for name, part in (("xa", xa), ("xb", xb), ("ya", ya), ("yb", yb))
+    }
     resid = sp.expand(ye**2 - (xe**3 - 64 * B * xe + 64 * B))
     _, resid = sp.div(sp.Poly(resid, v), sp.Poly(v**2 - (u**4 + u**3 + B), v))
     out["quartic_map_on_curve"] = sp.expand(resid.as_expr()) == 0
+    out["quartic_map_inverse_identity"] = sp.expand(xe + ye - 4 * u * (1 - xe)) == 0
 
     # 7. j-invariant derived examples
     jinv = 1728 * 4 * (-1) ** 3 / (4 * (-1) ** 3 + 27 * 1**2)
@@ -81,13 +89,7 @@ def main():
         27 * sp.Rational(-6912, 23) / (4 * (sp.Rational(-6912, 23) - 1728))
     )
 
-    # 8. invariants of the quartic u^4+u^3+B
-    quartic = [1, 1, 0, 0, B]  # a,b,c,d,e
-    a, b, c, dd, e = quartic
-    I = 12 * a * e - 3 * b * dd + c**2
-    J = 72 * a * c * e + 9 * b * c * dd - 27 * a * dd**2 - 27 * e * b**2 - 2 * c**3
-    out["I_of_D"] = str(sp.expand(I))
-    out["J_of_D"] = str(sp.expand(J))
+    # (there is no item 8: item numbers are cited elsewhere and stay fixed)
 
     # 9. infinity image: exact limit of the map along the branch v ~ +u^2
     #    (substitute u = 1/w, v = sqrt(1 + w + B w^4)/w^2, w -> 0+)
