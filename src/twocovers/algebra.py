@@ -3,7 +3,8 @@
 Scalars are python Fractions (arbitrary precision) or prime-field
 elements.  Polynomials are dense, generic over either coefficient ring,
 including nested Poly coefficients for parameter rings like Q[A][t] and
-Q[A,B][x][z].  F_{p^k} lives only in the point-count kernel (`counting`).
+Q[A][x][z]; poly_divmod divides by a monic divisor in any of them.  F_{p^k}
+lives only in the point-count kernel (`counting`).
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class UnfactoredError(ValueError):
     pass
 
 
-def _small_primes(limit=TRIAL_DIVISION_BOUND):
+def _small_primes():
+    limit = TRIAL_DIVISION_BOUND
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, int(limit**0.5) + 1):
@@ -233,7 +235,7 @@ def _pollard_brent(n, budget):
     return None
 
 
-def factorize(n, rho_budget=RHO_ITERATION_BUDGET):
+def factorize(n):
     """Prime factorization of |n| as a dict; raises UnfactoredError past the
     rho budget or on a cofactor beyond the exact range of is_prime."""
     n = abs(n)
@@ -252,7 +254,7 @@ def factorize(n, rho_budget=RHO_ITERATION_BUDGET):
         if prime:
             out[m] = out.get(m, 0) + 1
             continue
-        f = _pollard_brent(m, rho_budget)
+        f = _pollard_brent(m, RHO_ITERATION_BUDGET)
         if f is None or f in (1, m):
             raise UnfactoredError(f"factoring budget exceeded on {m}")
         stack.append(f)
@@ -289,9 +291,9 @@ class Poly:
         return cls([c])
 
     @classmethod
-    def gen(cls, one=Fraction(1)):
-        """The generator x of R[x], with 1 given by `one`."""
-        return cls([one * 0, one])
+    def gen(cls):
+        """The generator x of Q[x]."""
+        return cls([Fraction(0), Fraction(1)])
 
     @property
     def degree(self):
@@ -395,13 +397,6 @@ class Poly:
     def derivative(self):
         return Poly([c * i for i, c in enumerate(self.coeffs)][1:])
 
-    def shift(self, n):
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        zero = self.coeffs[0] * 0
-        return Poly([zero] * n + self.coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -444,23 +439,6 @@ def poly_gcd(f, g):
     if _is_one(lead):
         return a
     return a.map_coeffs(lambda c: c / lead)
-
-
-def reduce_mod_ideal(f, g):
-    """Remainder of f after iterated division by g in the top variable.
-
-    g must be monic in that variable; coefficients live in any common ring
-    (no coefficient division is performed).
-    """
-    if not g.is_monic():
-        raise AlgebraError("reduce_mod_ideal requires a monic divisor")
-    dg = g.degree
-    r = f
-    while r.degree >= dg:
-        top = r.lead()
-        shifted = Poly([top]).shift(r.degree - dg) * g
-        r = r - shifted
-    return r
 
 
 def squarefree(f):

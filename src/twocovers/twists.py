@@ -90,7 +90,7 @@ def _sieve_primes():
     return (p for p in _SMALL_PRIMES if p > SIEVE_PRIME_FLOOR)
 
 
-def _relations_mod_p(E_d, P1, P2, p, bound):
+def _relations_mod_p(E_d, P1, P2, p):
     """The pairs (a, b) of the half-box with a Q1 + b Q2 = O, where Q1, Q2
     are P1, P2 reduced mod p on the reduction of E_d.  Residues are ints in
     [0, p), a point is an (x, y) tuple and O is None."""
@@ -118,12 +118,12 @@ def _relations_mod_p(E_d, P1, P2, p, bound):
     Q1, Q2 = ((reduce(P.x), reduce(P.y)) for P in (P1, P2))
     by_point = {}  # a Q1 -> [a]
     acc = None
-    for a in range(bound + 1):
+    for a in range(RELATION_BOUND + 1):
         by_point.setdefault(acc, []).append(a)
         acc = add(acc, Q1)
     found = set()
     acc = None
-    for b in range(bound + 1):
+    for b in range(RELATION_BOUND + 1):
         # a Q1 = -(b Q2) gives (a, b); a Q1 = b Q2 gives (a, -b)
         minus = None if acc is None else (acc[0], -acc[1] % p)
         for a in by_point.get(minus, ()):
@@ -142,12 +142,12 @@ def _exact_relation(E_d, P1, P2, pairs):
     return any(multiples1[a] == multiples2[-b] for a, b in pairs)
 
 
-def independence_screen(E_d, P1, P2, bound=RELATION_BOUND):
+def independence_screen(E_d, P1, P2):
     """Conservative screen: dependent-or-torsion exactly when a P1 + b P2 = O
-    for some (a, b) != (0, 0) with |a|, |b| <= bound (b = 0 is P1 torsion of
-    order <= bound), independent-candidate otherwise.
+    for some (a, b) != (0, 0) with |a|, |b| <= RELATION_BOUND (b = 0 is P1
+    torsion of order <= RELATION_BOUND), independent-candidate otherwise.
 
-    Up to sign a relation lies in the half-box 0 <= a <= bound, |b| <= bound,
+    Up to sign a relation lies in the half-box 0 <= a, |b| <= RELATION_BOUND,
     (a, b) > (0, 0).  At a prime p of good reduction at which E_d, P1 and P2
     are p-integral, reduction mod p is a group homomorphism, so a relation
     over Q holds mod p too.  Each such prime above SIEVE_PRIME_FLOOR cuts the
@@ -160,6 +160,7 @@ def independence_screen(E_d, P1, P2, bound=RELATION_BOUND):
             raise CurveError(f"{P!r} is not on {E_d!r}")
     if P1.infinity or P2.infinity:
         return STATUS_DEPENDENT
+    bound = RELATION_BOUND
     survivors = {(a, b) for a in range(bound + 1) for b in range(-bound, bound + 1) if a > 0 or b > 0}
     denominators = [Fraction(c).denominator for c in (E_d.a2, E_d.a4, E_d.a6, P1.x, P1.y, P2.x, P2.y)]
     disc = discriminant(E_d).numerator
@@ -170,7 +171,7 @@ def independence_screen(E_d, P1, P2, bound=RELATION_BOUND):
         if disc % p == 0 or any(den % p == 0 for den in denominators):
             continue
         used += 1
-        survivors &= _relations_mod_p(E_d, P1, P2, p, bound)
+        survivors &= _relations_mod_p(E_d, P1, P2, p)
         if not survivors:
             return STATUS_INDEPENDENT
     return STATUS_DEPENDENT if _exact_relation(E_d, P1, P2, survivors) else STATUS_INDEPENDENT

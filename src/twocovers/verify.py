@@ -2,10 +2,12 @@
 
 Each check returns a report rather than raising: a failing identity carries
 its nonzero residual (or offending point) as the witness.  The symbolic
-checks run over the parameter rings Q[A] and Q[A,B], with specializations
-to a rational A; no check reduces modulo a prime.  The covers H -> D -> E
-are proved through their factors: the cover into the quartic D and the
-map D -> E (constructions.D_TO_E) each satisfy one small polynomial identity.
+checks run over the parameter ring Q[A], with specializations to a rational
+A; no check reduces modulo a prime.  Both theorems' plane relations, the
+conic of C and the relation F(x, z) of D, are proved as divided differences
+(g(x) - g(z))/(x - z) by one helper.  The covers H -> D -> E are proved
+through their factors: the cover into the quartic D and the map D -> E
+(constructions.D_TO_E) each satisfy one small polynomial identity.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, reduce_mod_ideal
+from .algebra import Poly
 from .constructions import (
     _times_param,
+    conic_poly,
     covering_maps,
     family_identity_residual,
     genus2_poly,
@@ -48,78 +51,54 @@ def _report(check, ok, witness=None):
     return VerificationReport(check=check, status="fail", witness=str(witness))
 
 
-# ---------------------------------------------------------------------------
-# ring towers
+def _divided_difference_residual(g, F):
+    """g(x) - g(z) - (x - z) F(x, z) in R[x][z], for g monic in R[x] and F a
+    Poly in z over R[x]: zero exactly when F is the divided difference
+    (g(x) - g(z))/(x - z), which is then monic of z-degree deg g - 1."""
+    gx = Poly([g])
+    gz = Poly([Poly([c]) for c in g.coeffs])
+    x_minus_z = Poly([Poly([Fraction(0), Fraction(1)]), Fraction(-1)])
+    return gx - gz - x_minus_z * F
 
 
-def _tower_AB_x_z():
-    """Generators (A, B, x, z) of Q[A][B][x][z], all lifted to the top."""
-    one = Fraction(1)
-    a1 = Poly([Fraction(0), one])
-    a2 = Poly([a1])
-    b2 = Poly([Poly([]), Poly([one])])
-    x3 = Poly([Poly([]), Poly([Poly([one])])])
-    a3 = Poly([a2])
-    b3 = Poly([b2])
-    z4 = Poly([Poly([]), Poly([Poly([Poly([one])])])])
-    x4 = Poly([x3])
-    a4 = Poly([a3])
-    b4 = Poly([b3])
-    return a4, b4, x4, z4
-
-
-def verify_thm1(conic_coeffs=(1, 1, 1)):
-    """The cubic difference (x^3 - Ax + B) - (z^3 - Az + B) reduces to zero
-    modulo the conic z^2 + xz + x^2 - A, over Q[A,B].
-
-    conic_coeffs = (z^2, xz, x^2) coefficients; perturbing any of them must
-    produce a nonzero residual.
+def verify_thm1():
+    """The conic x^2 + xz + z^2 - A is the divided difference of the cubic:
+    (x^3 - Ax + B) - (z^3 - Az + B) = (x - z)(x^2 + xz + z^2 - A), so both
+    cubics take the same value on the conic.  B cancels on the left, so the
+    identity is proved over Q[A][x][z] with g = x^3 - Ax, and with it over
+    Q[A, B]; the explicit cofactor x - z is stronger than membership of the
+    cubic difference in the ideal of the conic.
     """
-    A, B, x, z = _tower_AB_x_z()
-    f = (x**3 - A * x + B) - (z**3 - A * z + B)
-    ca, cb, cc = conic_coeffs
-    g = ca * z * z + cb * x * z + cc * x * x - A
-    if ca != 1:
-        g = g * Fraction(1, ca)
-    r = reduce_mod_ideal(f, g)
+    A = Poly.gen()
+    g = Poly([Fraction(0), -A, Fraction(0), Fraction(1)])
+    r = _divided_difference_residual(g, conic_poly(A))
     return _report("thm1-ideal-identity", not r, r)
 
 
-def verify_thm2(h_perturbation=None):
+def verify_thm2():
     """The defining identity of the degree-12 model over Q[A]:
     64[(t^3-1)^4 - (t^3-1)^3 (t^4-1)] + A (t^4-1)^4 = (t-1)^4 h(t),
     plus the companion: (x^4+x^3) - (z^4+z^3) = (x-z) F(x,z).
     """
     A = Poly.gen()
-    h = genus5_poly(A)
-    if h_perturbation is not None:
-        idx, delta = h_perturbation
-        coeffs = list(h.coeffs)
-        coeffs[idx] = coeffs[idx] + delta
-        h = Poly(coeffs)
-    first = family_identity_residual(A, h)
-
-    # (x^4 + x^3) - (z^4 + z^3) == (x - z) F(x, z) in Q[x][z]
-    x = Poly([Fraction(0), Fraction(1)])
-    xz = Poly([x])  # x at the z-level
-    z = Poly([Poly([]), Poly([Fraction(1)])])
-    F = plane_relation_poly()
-    second = (xz**4 + xz**3) - (z**4 + z**3) - (xz - z) * F
+    first = family_identity_residual(A, genus5_poly(A))
+    g = Poly(map(Fraction, (0, 0, 0, 1, 1)))
+    second = _divided_difference_residual(g, plane_relation_poly())
 
     ok = not first and not second
     witness = first if first else second
     return _report("thm2-model-identity", ok, witness)
 
 
-def _into_quartic_residual(f, extra):
-    """h - 64 extra^2 sum_i c_i num^i q^(4-i), with c_i the coefficients of
-    the quartic D: the zero polynomial exactly when (u, v) = (num/q,
-    w/(8 extra q^2)) lies on v^2 = D(u) at every point of w^2 = h(t)."""
+def _into_quartic_residual(f):
+    """h - 64 sum_i c_i num^i q^(4-i), with c_i the coefficients of the
+    quartic D: the zero polynomial exactly when (u, v) = (num/q, w/(8 q^2))
+    lies on v^2 = D(u) at every point of w^2 = h(t)."""
     acc = Poly([])
     for i, c in enumerate(reversed(f.quartic.coefficients())):
         if c:
             acc = acc + _times_param(f.num**i * f.q ** (4 - i), c)
-    return f.h - 64 * extra * extra * acc
+    return f.h - 64 * acc
 
 
 def _jacobian_residual(f):
@@ -142,24 +121,18 @@ def _jacobian_residual(f):
     return Y2[0] - rhs[0], Y2[1] - rhs[1]
 
 
-def verify_maps_on_curve(A=None, corrupt_scale=False):
+def verify_maps_on_curve(A=None):
     """Both covers H -> D -> E land on E, proved as two exact identities:
     each cover into D satisfies h = 64 sum_i c_i num^i q^(4-i) in Q[A][t],
     so it lands on the quartic D, and f.jacobian = D_TO_E satisfies
     Y^2 = X^3 + a2 X^2 + a4 X + a6 modulo v^2 = D(u).  Together they make
     the composite satisfy the Weierstrass equation of E on w^2 = h(t).
 
-    Runs over Q[A] when A is None.  corrupt_scale divides the sheet scaling
-    by (t-1)^2 (i.e. uses the unreduced formula with that factor dropped),
-    which must break the first identity.
+    Runs over Q[A] when A is None.
     """
-    sym = A is None
-    a = Poly.gen() if sym else Fraction(A)
-    f1, f2 = covering_maps(a)
-    extra = (Poly.gen() - 1) ** 2 if corrupt_scale else 1
-
-    for f in (f1, f2):
-        resid = _into_quartic_residual(f, extra)
+    a = Poly.gen() if A is None else Fraction(A)
+    for f in covering_maps(a):
+        resid = _into_quartic_residual(f)
         if resid:
             return _report(
                 f"maps-on-curve[{f.name}]",
@@ -203,8 +176,7 @@ def verify_quotients(A=None):
     The ramified branch (h(1) = 0 at 4A = 27) is reachable only from the
     library: `verify --A 27/4` exits 2 in build_family before any check runs.
     """
-    sym = A is None
-    a = Poly.gen() if sym else Fraction(A)
+    a = Poly.gen() if A is None else Fraction(A)
     h = genus5_poly(a)
     g2 = genus2_poly(a)
     g3 = genus3_poly(a)
@@ -225,11 +197,7 @@ def verify_quotients(A=None):
     if second:
         return _report("quotient-identities", False, "genus-3 substitution residual")
 
-    h_at_1 = h(1) if not sym else h(Poly([Fraction(1)]))
-    if sym:
-        ok = bool(h_at_1)  # 256A - 1728, nonzero in Q[A]
-        return _report("quotient-identities", ok, "h(1) = 0 identically" if not ok else None)
-    if not h_at_1:
+    if not h(1):  # 256A - 1728, nonzero in Q[A] and zero only at 4A = 27
         return _report(
             "quotient-identities", False, "ramification detected at x = 1 (h(1) = 0, 4A = 27)"
         )

@@ -200,10 +200,6 @@ class LPolynomial:
         prod = Poly(self.coeffs) * Poly(other.coeffs)
         return LPolynomial(coeffs=tuple(prod.coeffs), q=self.q, g=self.g + other.g)
 
-    def trace(self):
-        """Sum of the inverse roots (q + 1 - N_1 for a curve)."""
-        return -self.coeffs[1]
-
     def serialize(self):
         return {"q": self.q, "g": self.g, "coeffs": [int(c) for c in self.coeffs]}
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from twocovers import verify
 from twocovers.algebra import Poly
 from twocovers.cli import main as cli_main
-from twocovers.constructions import D_TO_E, build_family, genus5_poly
+from twocovers.constructions import D_TO_E, build_family, conic_poly, genus5_poly
 from twocovers.curves import CubicModel, on_curve
 from twocovers.twists import STATUS_INDEPENDENT, census, growth_table
 from twocovers.verify import verify_maps_on_curve, verify_thm1, verify_thm2
@@ -33,16 +33,21 @@ def _announce(n, text):
     print(f"CRITERION {n:2d}: PASS - {text}")
 
 
-def test_criterion_01_thm1_symbolic_identity():
+def test_criterion_01_thm1_symbolic_identity(monkeypatch):
     start = time.perf_counter()
     assert verify_thm1().passed
-    for idx in range(3):
-        coeffs = [1, 1, 1]
-        coeffs[idx] += 1
-        assert not verify_thm1(conic_coeffs=tuple(coeffs)).passed
+    # the conic plus z^2, xz or x^2, each a Poly in z over Q[x]
+    one, x = Poly([F(1)]), Poly.gen()
+    for bump in (Poly([0, 0, one]), Poly([0, x]), Poly([x * x])):
+        monkeypatch.setattr(verify, "conic_poly", lambda A, bump=bump: conic_poly(A) + bump)
+        assert not verify_thm1().passed
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
-    _announce(1, f"ideal identity exact over Q[A,B], mutations flip to fail ({elapsed:.2f}s)")
+    _announce(
+        1,
+        "divided-difference identity exact over Q[A][x][z]; B cancels; "
+        f"mutations flip to fail ({elapsed:.2f}s)",
+    )
 
 
 def test_criterion_02_thm2_symbolic_identity():

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from test_acceptance import ORACLE_CENSUS_DISTINCT_D
-from twocovers.constructions import D_TO_E, INFINITY_IMAGE
+from twocovers.algebra import Poly
+from twocovers.constructions import D_TO_E, INFINITY_IMAGE, conic_poly, plane_relation_poly
 
-pytest.importorskip("sympy")
+sp = pytest.importorskip("sympy")
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -57,6 +58,30 @@ def test_map_D_to_E_matches(identities):
 
 def test_infinity_image_matches(identities):
     assert tuple(F(c) for c in identities["infinity_image_plus_branch"]) == INFINITY_IMAGE
+
+
+def _expr(c, names):
+    """A nested Poly as a sympy expression in names, outermost variable
+    first; a scalar at any level is a constant."""
+    if isinstance(c, Poly):
+        var = sp.Symbol(names[0])
+        return sum(_expr(ci, names[1:]) * var**i for i, ci in enumerate(c.coeffs))
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def _same_z_coeffs(F, names, printed):
+    """F, a Poly in z, has the z-coefficients the oracle printed."""
+    return len(F.coeffs) == len(printed) and all(
+        sp.expand(_expr(c, names) - sp.sympify(s)) == 0 for c, s in zip(F.coeffs, printed)
+    )
+
+
+def test_conic_matches(identities):
+    assert _same_z_coeffs(conic_poly(Poly.gen()), ("x", "A"), identities["conic_poly_in_z_coeffs"])
+
+
+def test_plane_relation_matches(identities):
+    assert _same_z_coeffs(plane_relation_poly(), ("x",), identities["F_poly_in_z_coeffs"])
 
 
 def test_census_distinct_d_count():

@@ -3,6 +3,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from twocovers import constructions, verify
 from twocovers.algebra import Fp, Poly
 from twocovers.verify import (
@@ -21,16 +23,6 @@ class TestThm1:
         r = verify_thm1()
         assert r.passed and r.witness is None
 
-    def test_perturbed_conic_fails(self):
-        r = verify_thm1(conic_coeffs=(2, 1, 1))
-        assert not r.passed and r.witness is not None
-
-    def test_every_single_mutation_fails(self):
-        for idx in range(3):
-            coeffs = [1, 1, 1]
-            coeffs[idx] += 1
-            assert not verify_thm1(conic_coeffs=tuple(coeffs)).passed
-
 
 class TestThm2:
     def test_canonical_passes(self):
@@ -44,27 +36,6 @@ class TestThm2:
         lhs = 64 * ((t**3 - 1) ** 4 - (t**3 - 1) ** 3 * (t**4 - 1)) + A * (t**4 - 1) ** 4
         assert lhs == (t - 1) ** 4 * genus5_poly(A)(t)
 
-    def test_mutations_fail(self):
-        for idx in (0, 3, 7, 12):
-            assert not verify_thm2(h_perturbation=(idx, 1)).passed
-
-    def test_plane_relation_mutations_fail(self, monkeypatch):
-        # the companion identity is what proves the plane relation monic of
-        # z-degree 3, so both covers have degree 3 onto the quartic
-        original = constructions.plane_relation_poly
-
-        def doubled_leading():
-            c = list(original().coeffs)
-            return Poly(c[:3] + [2 * c[3]])
-
-        def shifted_constant():
-            c = list(original().coeffs)
-            return Poly([c[0] + 1] + c[1:])
-
-        for mutant in (doubled_leading, shifted_constant):
-            monkeypatch.setattr(verify, "plane_relation_poly", mutant)
-            assert not verify_thm2().passed
-
 
 class TestMapsOnCurve:
     def test_symbolic_passes(self):
@@ -73,26 +44,6 @@ class TestMapsOnCurve:
     def test_specializations_pass(self):
         for A in (F(-27), F(1), F(16), F(5, 7)):
             assert verify_maps_on_curve(A).passed
-
-    def test_corrupted_scaling_fails(self):
-        r = verify_maps_on_curve(F(-27), corrupt_scale=True)
-        assert not r.passed
-
-    def test_perturbed_jacobian_fails(self, monkeypatch):
-        # one y-map coefficient of the map D -> E off by one
-        original = verify.covering_maps
-
-        def perturbed(A):
-            out = []
-            for f in original(A):
-                x_map, (ya, yb) = f.jacobian
-                out.append(dataclasses.replace(f, jacobian=(x_map, (ya + 1, yb))))
-            return tuple(out)
-
-        monkeypatch.setattr(verify, "covering_maps", perturbed)
-        for A in (None, F(-27)):
-            r = verify_maps_on_curve(A)
-            assert not r.passed and "Jacobian" in r.witness
 
 
 class TestIndependence:
@@ -121,19 +72,6 @@ class TestIndependence:
         r = verify_independence(F(-27))
         assert not r.passed and "4 + (-1) w" in r.witness
 
-    def test_negated_cover_fails(self, monkeypatch):
-        # -f1 negates the y-map of the map D -> E and keeps its x-map
-        original = verify.covering_maps
-
-        def negated(A):
-            f1, _ = original(A)
-            x_map, (ya, yb) = f1.jacobian
-            return f1, dataclasses.replace(f1, name="-f1", jacobian=(x_map, (-ya, -yb)))
-
-        monkeypatch.setattr(verify, "covering_maps", negated)
-        r = verify_independence(F(-27))
-        assert not r.passed and "4 + (-1) w" in r.witness
-
 
 class TestQuotients:
     def test_symbolic_passes(self):
@@ -147,6 +85,81 @@ class TestQuotients:
         r = verify_quotients(F(27, 4))
         assert not r.passed
         assert "x = 1" in r.witness
+
+
+# ---------------------------------------------------------------------------
+# mutations: each check passes as built and fails once one module seam of
+# verify (a function it imports from constructions) returns a corrupted value
+
+t = Poly.gen()
+
+
+def _z(*coeffs_in_x):
+    """A Poly in z over Q[x]; each argument is one z-coefficient, given as its
+    x-coefficients (low to high)."""
+    return Poly([Poly([F(c) for c in cx]) for cx in coeffs_in_x])
+
+
+def _plus(original, term):
+    return lambda *args: original(*args) + term
+
+
+def _each_cover(change):
+    return lambda A: tuple(change(f) for f in constructions.covering_maps(A))
+
+
+def _sheet_scaled(f):
+    # w rescaled by a stray (t - 1)^2, so h becomes h (t - 1)^4
+    return dataclasses.replace(f, h=f.h * (t - 1) ** 4)
+
+
+def _y_map_bumped(f):
+    # one y-map coefficient of the map D -> E off by one
+    x_map, (ya, yb) = f.jacobian
+    return dataclasses.replace(f, jacobian=(x_map, (ya + 1, yb)))
+
+
+def _negated_second(A):
+    # -f1 negates the y-map of the map D -> E and keeps its x-map
+    f1, _ = constructions.covering_maps(A)
+    x_map, (ya, yb) = f1.jacobian
+    return f1, dataclasses.replace(f1, name="-f1", jacobian=(x_map, (-ya, -yb)))
+
+
+_conic = constructions.conic_poly
+_h = constructions.genus5_poly
+_plane = constructions.plane_relation_poly
+_scaled = _each_cover(_sheet_scaled)
+_bumped = _each_cover(_y_map_bumped)
+_INTO_D = "cover into D: nonzero residual"
+
+MUTATIONS = [
+    # (id, check, seam, mutant, args, substring of the witness)
+    ("thm1-conic-z2", verify_thm1, "conic_poly", _plus(_conic, _z((), (), (1,))), (), ""),
+    ("thm1-conic-xz", verify_thm1, "conic_poly", _plus(_conic, _z((), (0, 1))), (), ""),
+    ("thm1-conic-x2", verify_thm1, "conic_poly", _plus(_conic, _z((0, 0, 1))), (), ""),
+    *((f"thm2-h{i}", verify_thm2, "genus5_poly", _plus(_h, t**i), (), "") for i in (0, 3, 7, 12)),
+    # the companion identity is what proves the plane relation monic of
+    # z-degree 3, so both covers have degree 3 onto the quartic
+    ("thm2-plane-lead", verify_thm2, "plane_relation_poly", _plus(_plane, _z((), (), (), (1,))), (), ""),
+    ("thm2-plane-const", verify_thm2, "plane_relation_poly", _plus(_plane, _z((1,))), (), ""),
+    ("maps-sheet-scale-A-27", verify_maps_on_curve, "covering_maps", _scaled, (F(-27),), _INTO_D),
+    ("maps-sheet-scale-QA", verify_maps_on_curve, "covering_maps", _scaled, (), _INTO_D),
+    ("maps-y-map-A-27", verify_maps_on_curve, "covering_maps", _bumped, (F(-27),), "Jacobian"),
+    ("maps-y-map-QA", verify_maps_on_curve, "covering_maps", _bumped, (), "Jacobian"),
+    ("negated-cover", verify_independence, "covering_maps", _negated_second, (F(-27),), "4 + (-1) w"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, seam, mutant, args, witness",
+    [pytest.param(*row[1:], id=row[0]) for row in MUTATIONS],
+)
+def test_mutation_fails(monkeypatch, check, seam, mutant, args, witness):
+    assert check(*args).passed
+    monkeypatch.setattr(verify, seam, mutant)
+    r = check(*args)
+    assert not r.passed and witness in r.witness
 
 
 class TestSuite:

@@ -82,7 +82,6 @@ def main():
     out["quartic_map_inverse_identity"] = sp.expand(xe + ye - 4 * u * (1 - xe)) == 0
 
     # 7. j-invariant derived examples
-    jinv = 1728 * 4 * (-1) ** 3 / (4 * (-1) ** 3 + 27 * 1**2)
     out["j_of_m1_1"] = str(sp.Rational(1728 * 4 * (-1) ** 3, 4 * (-1) ** 3 + 27))
     out["A_from_j_6912_over_5"] = str(27 * sp.Rational(6912, 5) / (4 * (sp.Rational(6912, 5) - 1728)))
     out["A_from_j_minus_6912_over_23"] = str(
@@ -105,7 +104,6 @@ def main():
 
     # 11. discriminants across the family
     out["disc_E"] = str(sp.factor(-16 * (4 * (-A) ** 3 + 27 * A**2)))
-    ep = sp.Poly(x**3 + A * x**2 + 2 * A * x + A, x)
     out["disc_Eprime_cubic"] = str(sp.factor(sp.discriminant(4 * (x**3 + A * x**2 + 2 * A * x + A), x) / 16))
     out["disc_quartic_D"] = str(sp.factor(sp.discriminant(x**4 + x**3 + B, x)))
     out["disc_h_factored"] = str(sp.factor(sp.discriminant(genus5_rhs(), x)))
@@ -148,6 +146,13 @@ def main():
         name: str(sp.expand(xe.subs({u: ut.subs(t, 0), v: w / 8})))
         for name, ut in (("f1", xt), ("f2", zt))
     }
+
+    # 15. theorem 1's conic is the divided difference of the cubic:
+    #     (x^3 - Ax + B) - (z^3 - Az + B) == (x - z)(x^2 + xz + z^2 - A)
+    conic = x**2 + x * z + z**2 - A
+    cubic_difference = (x**3 - A * x + B) - (z**3 - A * z + B)
+    out["thm1_divided_difference_identity"] = sp.expand(cubic_difference - (x - z) * conic) == 0
+    out["conic_poly_in_z_coeffs"] = [str(sp.Poly(conic, z).coeff_monomial(z**i)) for i in range(3)]
 
     print(json.dumps(out, indent=1))
 
